@@ -32,24 +32,33 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> reference-oracle suite on the default kernels (production == eager Scalar reference)"
+# The eager metadata engine on the Scalar kernel is buildable only from
+# secpb-core's own tests.  This lane pins the portable MultiBlock kernel
+# and the lazy engine to it; the hw-crypto lane below reruns the suite
+# with the hardware kernels compiled in.
+cargo test -q -p secpb-core --lib reference_tests
+
 echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
 # The hw backends detect AES-NI/AVX2 at runtime and fall back to the
 # portable engines when the ISA is absent, so this lane is safe on any
 # host: with the extensions it exercises the AES-NI/4-lane-SHA-512
 # kernels, without them it validates the fallback path (graceful skip
-# happens inside the backends, not here).  The release binaries the
-# gates below run are rebuilt by this lane, so the equivalence smokes
-# and the grid baseline exercise the hardware-class hot path.  The
+# happens inside the backends, not here).  The workspace tests include
+# the secpb-core reference suite, so on an AES-NI/AVX2 host this lane
+# pins HwCrypto to the Scalar reference.  The release binaries the
+# gates below run are rebuilt by this lane, so the storm and the grid
+# baseline exercise the hardware-class hot path.  The
 # feature must be enabled per package (--workspace), not just on the
 # root facade crate — a bare `--features hw-crypto` from the root only
 # rebuilds the facade and leaves the gate binaries on scalar kernels.
 cargo build --release --workspace --features hw-crypto
 cargo test -q --workspace --features hw-crypto
 
-echo "==> backend-equivalence smoke (scalar == multiblock == hw on fuzzed traces)"
-# The suite sweeps every backend against the scalar reference: digests,
-# grid JSON, crash/recovery verdicts, telemetry-on/off parity, plus the
-# arena stress test.  Run against the hw-crypto build so a detected
+echo "==> backend-equivalence smoke (scalar == multiblock == hw on fuzzed digests)"
+# The suite sweeps every kernel against the scalar reference on fuzzed
+# digest batches, checks runtime ISA detection, and runs the arena
+# stress test.  Run against the hw-crypto build so a detected
 # AES-NI/AVX2 host pins the real hardware kernels to the reference.
 cargo test -q --features hw-crypto --test backend_equivalence
 
@@ -59,16 +68,10 @@ echo "==> crypto_micro regression guard (batched fold >= 2x scalar)"
 # vectorized hash kernel is unavailable.
 ./target/release/crypto_micro --check
 
-echo "==> eager-vs-lazy metadata equivalence smoke (all schemes)"
-# equiv_smoke exits nonzero if the lazy metadata engine's observable
-# outputs (grid JSON, crash report, persisted root, stats, recovery)
-# diverge from the eager engine's on a fuzzed trace.
-./target/release/equiv_smoke 10000
-
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
 # fault_storm exits nonzero on any panic, silent corruption, accounting
-# mismatch, or undetected bit flip across all schemes, both metadata
-# engines, and both drain policies; --quick keeps this to a few seconds.
+# mismatch, or undetected bit flip across all schemes, every front, and
+# both drain policies; --quick keeps this to a few seconds.
 ./target/release/fault_storm --quick
 
 echo "==> grid determinism smoke (2 workloads x 2 schemes, serial vs parallel, telemetered)"
@@ -112,9 +115,9 @@ echo "$SERVE_OUT" | grep -Eq '^stores drained  [1-9]' || { echo "ci.sh: serve dr
 
 echo "==> checkpoint restore+replay byte-identity gate (tests/checkpoint_replay.rs)"
 # Restoring a checkpoint at epoch N and replaying N..M must be
-# byte-identical to the uninterrupted run for every scheme, metadata
-# mode, and tree organisation — the contract shard crash-recovery and
-# the soak's restart storms build on.
+# byte-identical to the uninterrupted run for every scheme and tree
+# organisation — the contract shard crash-recovery and the soak's
+# restart storms build on.
 cargo test --release -q --test checkpoint_replay
 
 echo "==> scheme byte-identity + persistence-policy gate (tests/scheme_equivalence.rs)"

@@ -4,17 +4,19 @@
 //! with `--jobs N` workers, verifies the two result sets are
 //! **identical** (the engine's determinism contract), and reports
 //! wall-clock speedup plus per-cell simulated instructions per second
-//! and host nanoseconds per simulated store.
+//! and host nanoseconds per simulated store.  Both passes do the same
+//! work: every cell is run and then crash-tested (power loss, full
+//! drain, verified recovery), and both the results and the recovery
+//! verdicts must match.
 //!
 //! Usage:
-//! `cargo run --release -p secpb-bench --bin bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] [--mode eager|lazy] [--backend auto|scalar|multiblock|hw] [--validate-parallel] [--update-baseline]`
+//! `cargo run --release -p secpb-bench --bin bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] [--telemetry] [--validate-parallel] [--update-baseline]`
 //!
 //! `--smoke` shrinks the grid to 2 workloads × 2 schemes (the CI
 //! determinism gate); the default grid is the full Table IV workload
-//! suite × all SecPB schemes.  `--mode` selects the security-metadata
-//! engine (default: lazy) and `--backend` pins the crypto backend
-//! (default: auto-detect).  Exits nonzero if parallel results diverge
-//! from serial.
+//! suite × all SecPB schemes.  The report's `crypto_backend` names the
+//! kernel the host's runtime ISA detection picked.  Exits nonzero if
+//! parallel results diverge from serial.
 //!
 //! `--telemetry` attaches a live telemetry ring to every serial cell.
 //! Because events observe and never steer, the determinism gate then
@@ -39,20 +41,15 @@
 
 use std::time::Instant;
 
-use secpb_bench::experiments::{run_grid, GridCell, TelemetryDigest};
+use secpb_bench::experiments::{GridCell, TelemetryDigest};
 use secpb_core::metrics::counters;
 use secpb_core::scheme::Scheme;
-use secpb_sim::config::{CryptoBackendKind, MetadataMode, SystemConfig};
+use secpb_crypto::backend::CryptoBackend;
 use secpb_sim::json::Json;
 use secpb_sim::pool;
 use secpb_workloads::WorkloadProfile;
 
-fn build_grid(
-    smoke: bool,
-    instructions: u64,
-    mode: MetadataMode,
-    backend: CryptoBackendKind,
-) -> Vec<GridCell> {
+fn build_grid(smoke: bool, instructions: u64) -> Vec<GridCell> {
     let (profiles, schemes): (Vec<WorkloadProfile>, Vec<Scheme>) = if smoke {
         (
             ["gamess", "povray"]
@@ -69,15 +66,12 @@ fn build_grid(
                 .collect(),
         )
     };
-    let cfg = SystemConfig::default()
-        .with_metadata_mode(mode)
-        .with_crypto_backend(backend);
     profiles
         .iter()
         .flat_map(|p| {
             schemes
                 .iter()
-                .map(|&s| GridCell::new(p.clone(), s, instructions).with_cfg(cfg.clone()))
+                .map(|&s| GridCell::new(p.clone(), s, instructions))
         })
         .collect()
 }
@@ -92,50 +86,13 @@ fn main() {
     raw.retain(|a| a != "--telemetry");
     let validate_parallel = raw.iter().any(|a| a == "--validate-parallel");
     raw.retain(|a| a != "--validate-parallel");
-    let backend = match raw.iter().position(|a| a == "--backend") {
-        Some(i) => {
-            if i + 1 >= raw.len() {
-                eprintln!("error: --backend requires a value (auto|scalar|multiblock|hw)");
-                std::process::exit(2);
-            }
-            let parsed = raw[i + 1].parse::<CryptoBackendKind>();
-            raw.drain(i..=i + 1);
-            match parsed {
-                Ok(b) => b,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => CryptoBackendKind::default(),
-    };
-    let mode = match raw.iter().position(|a| a == "--mode") {
-        Some(i) => {
-            if i + 1 >= raw.len() {
-                eprintln!("error: --mode requires a value (eager|lazy)");
-                std::process::exit(2);
-            }
-            let parsed = raw[i + 1].parse::<MetadataMode>();
-            raw.drain(i..=i + 1);
-            match parsed {
-                Ok(m) => m,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => MetadataMode::default(),
-    };
     let args = match secpb_bench::args::RunnerArgs::parse(&raw, 200_000) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] \
-                 [--mode eager|lazy] [--backend auto|scalar|multiblock|hw] [--telemetry] \
-                 [--validate-parallel] [--update-baseline]"
+                 [--telemetry] [--validate-parallel] [--update-baseline]"
             );
             std::process::exit(2);
         }
@@ -153,14 +110,13 @@ fn main() {
 
     let cores = pool::default_jobs();
     let parallel_timing_valid = cores >= 2 && !validate_parallel;
-    let cells = build_grid(smoke, args.instructions, mode, backend);
+    let backend = CryptoBackend::auto().name();
+    let cells = build_grid(smoke, args.instructions);
     eprintln!(
-        "grid: {} cells ({}) @ {} instructions, {} metadata, {} backend, serial vs {jobs} jobs on {cores} core(s)",
+        "grid: {} cells ({}) @ {} instructions, {backend} crypto kernel, serial vs {jobs} jobs on {cores} core(s)",
         cells.len(),
         if smoke { "smoke" } else { "full" },
         args.instructions,
-        mode.name(),
-        backend.name(),
     );
     if !parallel_timing_valid {
         eprintln!(
@@ -175,9 +131,9 @@ fn main() {
 
     // Serial pass, timing each cell so per-cell host cost (ns per
     // simulated store) lands in the report alongside the simulated
-    // numbers.  Each serial cell is also crash-tested (power loss, full
-    // drain, verified recovery) so a cell that persists garbage fails
-    // the grid instead of silently reporting timing only.
+    // numbers.  Each cell is also crash-tested (power loss, full drain,
+    // verified recovery) so a cell that persists garbage fails the grid
+    // instead of silently reporting timing only.
     let t0 = Instant::now();
     let (serial_checked, cell_seconds): (Vec<_>, Vec<_>) = cells
         .iter()
@@ -194,16 +150,16 @@ fn main() {
         .unzip();
     let serial_s = t0.elapsed().as_secs_f64();
     let mut serial = Vec::with_capacity(cells.len());
-    let mut recovery = Vec::with_capacity(cells.len());
     let mut digests = Vec::with_capacity(cells.len());
     for (r, check, digest) in serial_checked {
-        serial.push(r);
-        recovery.push(check);
+        serial.push((r, check));
         digests.push(digest);
     }
 
+    // The parallel pass does the serial pass's work, crash tests
+    // included, so `speedup` compares like with like.
     let t1 = Instant::now();
-    let parallel = run_grid(&cells, jobs);
+    let parallel = pool::run_indexed(cells.len(), jobs, |i| cells[i].run_with_recovery());
     let parallel_s = t1.elapsed().as_secs_f64();
 
     if serial != parallel {
@@ -213,7 +169,10 @@ fn main() {
                  (events must observe, never steer)"
             );
         } else {
-            eprintln!("DETERMINISM VIOLATION: parallel grid results differ from serial");
+            eprintln!(
+                "DETERMINISM VIOLATION: parallel grid results or recovery verdicts differ \
+                 from serial"
+            );
         }
         std::process::exit(1);
     }
@@ -225,11 +184,14 @@ fn main() {
     let simulated: u64 = cells.iter().map(|c| c.instructions).sum();
     let serial_ips = simulated as f64 / serial_s;
     let parallel_ips = simulated as f64 / parallel_s;
-    let total_stores: u64 = serial.iter().map(|r| r.stats.get(counters::STORES)).sum();
+    let total_stores: u64 = serial
+        .iter()
+        .map(|(r, _)| r.stats.get(counters::STORES))
+        .sum();
     let serial_ns_per_store = serial_s * 1e9 / total_stores.max(1) as f64;
 
     println!("cells                 {}", cells.len());
-    println!("metadata mode         {}", mode.name());
+    println!("crypto kernel         {backend}");
     println!("serial                {serial_s:.3} s ({serial_ips:.0} instr/s)");
     println!("serial ns/store       {serial_ns_per_store:.1}");
     if parallel_timing_valid {
@@ -251,16 +213,16 @@ fn main() {
 
     let recovery_failures: Vec<String> = cells
         .iter()
-        .zip(&recovery)
-        .filter_map(|(c, check)| {
+        .zip(&serial)
+        .filter_map(|(c, (_, check))| {
             check
                 .failure
                 .as_ref()
                 .map(|why| format!("{}/{}: {why}", c.profile.name, c.scheme.name()))
         })
         .collect();
-    let recovery_blocks: u64 = recovery.iter().map(|c| c.blocks_checked).sum();
-    let recovery_cycles_total: u64 = recovery.iter().map(|c| c.recovery_cycles).sum();
+    let recovery_blocks: u64 = serial.iter().map(|(_, c)| c.blocks_checked).sum();
+    let recovery_cycles_total: u64 = serial.iter().map(|(_, c)| c.recovery_cycles).sum();
     if recovery_failures.is_empty() {
         println!(
             "recovery              all {} cells consistent ({recovery_blocks} blocks verified, \
@@ -294,9 +256,9 @@ fn main() {
 
     let per_cell = cells
         .iter()
-        .zip(serial.iter().zip(&cell_seconds))
-        .zip(&recovery)
-        .map(|((c, (r, secs)), check)| {
+        .zip(&serial)
+        .zip(&cell_seconds)
+        .map(|((c, (r, check)), secs)| {
             let stores = r.stats.get(counters::STORES);
             Json::obj()
                 .field("workload", c.profile.name.as_str())
@@ -319,8 +281,7 @@ fn main() {
         .field("grid", if smoke { "smoke" } else { "full" })
         .field("cells", cells.len())
         .field("instructions_per_cell", args.instructions)
-        .field("metadata_mode", mode.name())
-        .field("crypto_backend", backend.name())
+        .field("crypto_backend", backend)
         .field("jobs", jobs)
         .field("host_cores", cores)
         .field("serial_seconds", serial_s)

@@ -35,8 +35,8 @@
 //! the same pads and digests).  Restore clears those; everything else
 //! overlays exactly, so replaying epochs N..M after restoring at N
 //! reproduces the uninterrupted run byte for byte —
-//! `tests/checkpoint_replay.rs` pins this for every scheme × metadata
-//! mode.
+//! `tests/checkpoint_replay.rs` pins this for every scheme and tree
+//! organisation.
 //!
 //! [`ShardOutcome`]: https://docs.rs/secpb-bench
 
@@ -64,7 +64,10 @@ pub const MAGIC: [u8; 4] = *b"SPBC";
 ///   tagged [`POLICY_TAG`] section carrying the policy's analytic
 ///   state (shadow root, write-amplification counters) closes the
 ///   payload.
-pub const VERSION: u32 = 2;
+/// - 3: the metadata-engine and crypto-kernel names leave the config
+///   fingerprint (both are host implementation details, not model
+///   parameters).
+pub const VERSION: u32 = 3;
 
 /// The four tag bytes opening the persistence-policy section (v2+).
 pub const POLICY_TAG: [u8; 4] = *b"SPOL";
@@ -180,8 +183,6 @@ pub fn config_fingerprint(
     w.bool(cfg.security.speculative_verification);
     w.u8(cfg.security.triad_levels);
     w.bool(cfg.security.shadow_counters);
-    w.str(cfg.security.metadata_mode.name());
-    w.str(cfg.security.crypto_backend.name());
     w.u64(cfg.nvm.size_bytes);
     w.u64(cfg.nvm.read_latency.raw());
     w.u64(cfg.nvm.write_latency.raw());

@@ -25,7 +25,6 @@ use secpb_crypto::otp::OtpEngine;
 use secpb_crypto::sha512::{Digest, Sha512};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{CryptoBackendKind, MetadataMode};
 use secpb_sim::fxhash::FxHashMap;
 use secpb_sim::trace::Access;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
@@ -36,16 +35,6 @@ use crate::tree::{IntegrityTree, TreeKind};
 
 /// BMT arity used throughout (8-ary, 8 levels covers 16 M pages).
 pub(crate) const BMT_ARITY: usize = 8;
-
-/// Maps the dependency-free config name to the concrete crypto backend.
-pub(crate) fn resolve_backend(kind: CryptoBackendKind) -> CryptoBackend {
-    match kind {
-        CryptoBackendKind::Auto => CryptoBackend::auto(),
-        CryptoBackendKind::Scalar => CryptoBackend::Scalar,
-        CryptoBackendKind::MultiBlock => CryptoBackend::MultiBlock,
-        CryptoBackendKind::Hw => CryptoBackend::HwCrypto,
-    }
-}
 
 /// Per-front key-derivation salts.  The three fronts historically derived
 /// their AES/tree keys with different constants; preserving them keeps
@@ -123,8 +112,11 @@ pub struct PersistDomain {
     pub(crate) otp_engine: OtpEngine,
     pub(crate) mac_engine: BlockMac,
     pub(crate) tree: IntegrityTree,
-    pub(crate) mode: MetadataMode,
-    /// Resolved crypto backend every engine dispatches through.
+    /// Whether this domain runs the eager reference engine (every tree
+    /// walk and digest recomputed on update, no memo caches) instead of
+    /// the lazy production engine.  Only `#[cfg(test)]` code builds one.
+    pub(crate) eager: bool,
+    /// Crypto kernel every engine dispatches through.
     pub(crate) backend: CryptoBackend,
     pub(crate) ctr_digests: DigestMemo,
     /// The persistence policy driving this domain (what metadata is
@@ -139,7 +131,7 @@ impl std::fmt::Debug for PersistDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistDomain")
             .field("tree_kind", &self.tree_kind)
-            .field("mode", &self.mode)
+            .field("eager", &self.eager)
             .field("data_blocks", &self.nvm.data_block_count())
             .finish_non_exhaustive()
     }
@@ -147,21 +139,51 @@ impl std::fmt::Debug for PersistDomain {
 
 impl PersistDomain {
     /// Builds the kernel, deriving the AES/MAC/tree keys from `key_seed`
-    /// with the front's salts.
+    /// with the front's salts.  It runs the lazy engine (deferred tree
+    /// folds, memoized pads and counter digests) on the fastest crypto
+    /// kernel the host supports ([`CryptoBackend::auto`]).
     pub(crate) fn new(
         keys: DomainKeys,
         tree_kind: TreeKind,
         bmt_levels: u32,
-        mode: MetadataMode,
-        backend_kind: CryptoBackendKind,
         key_seed: u64,
         policy: PersistencePolicy,
     ) -> Self {
+        Self::build(keys, tree_kind, bmt_levels, key_seed, policy, false)
+    }
+
+    /// This (still unused) domain rebuilt as the reference oracle: the
+    /// eager engine on the `Scalar` kernel, which the production engine
+    /// must match byte for byte.
+    #[cfg(test)]
+    pub(crate) fn into_reference(self) -> Self {
+        Self::build(
+            self.keys,
+            self.tree_kind,
+            self.bmt_levels,
+            self.seed,
+            self.policy,
+            true,
+        )
+    }
+
+    fn build(
+        keys: DomainKeys,
+        tree_kind: TreeKind,
+        bmt_levels: u32,
+        key_seed: u64,
+        policy: PersistencePolicy,
+        reference: bool,
+    ) -> Self {
+        let backend = if reference {
+            CryptoBackend::Scalar
+        } else {
+            CryptoBackend::auto()
+        };
         let mut aes_key = [0u8; 24];
         for (i, b) in aes_key.iter_mut().enumerate() {
             *b = (key_seed.rotate_left(i as u32) ^ (i as u64 * keys.aes_mult)) as u8;
         }
-        let backend = resolve_backend(backend_kind);
         let mac_key = key_seed.to_le_bytes();
         let tree_key = (key_seed ^ keys.tree_xor).to_le_bytes();
         let mut tree = IntegrityTree::new(tree_kind, &tree_key, BMT_ARITY, bmt_levels);
@@ -170,7 +192,7 @@ impl PersistDomain {
         otp_engine.set_backend(backend);
         let mut mac_engine = BlockMac::new(&mac_key);
         mac_engine.set_backend(backend);
-        if mode == MetadataMode::Lazy {
+        if !reference {
             tree.set_lazy(true);
             otp_engine.enable_pad_cache(secpb_crypto::memo::DEFAULT_CAPACITY);
         }
@@ -185,7 +207,7 @@ impl PersistDomain {
             otp_engine,
             mac_engine,
             tree,
-            mode,
+            eager: reference,
             backend,
             ctr_digests: DigestMemo::new(secpb_crypto::memo::DEFAULT_CAPACITY),
             policy,
@@ -219,12 +241,14 @@ impl PersistDomain {
         entry[off..off + size].copy_from_slice(&access.value.to_le_bytes()[..size]);
     }
 
-    /// The SHA-512 digest of a counter block, memoized in lazy mode.
+    /// The SHA-512 digest of a counter block, memoized by the lazy
+    /// engine.
     pub(crate) fn counter_digest(&self, page: u64, cb: &CounterBlock) -> Digest {
         let bytes = cb.to_bytes();
-        match self.mode {
-            MetadataMode::Eager => Sha512::digest(&bytes),
-            MetadataMode::Lazy => self.ctr_digests.digest(page, &bytes),
+        if self.eager {
+            Sha512::digest(&bytes)
+        } else {
+            self.ctr_digests.digest(page, &bytes)
         }
     }
 
@@ -232,12 +256,11 @@ impl PersistDomain {
     /// the burst rides one multi-lane hash dispatch.  Bit-identical
     /// digests to the per-item path.
     pub(crate) fn counter_digest_batch(&self, items: &[(u64, [u8; 64])], out: &mut Vec<Digest>) {
-        match self.mode {
-            MetadataMode::Eager => {
-                let msgs: Vec<&[u8; 64]> = items.iter().map(|(_, bytes)| bytes).collect();
-                secpb_crypto::sha512::digest64_batch(&self.backend, &msgs, out);
-            }
-            MetadataMode::Lazy => self.ctr_digests.digest_batch(&self.backend, items, out),
+        if self.eager {
+            let msgs: Vec<&[u8; 64]> = items.iter().map(|(_, bytes)| bytes).collect();
+            secpb_crypto::sha512::digest64_batch(&self.backend, &msgs, out);
+        } else {
+            self.ctr_digests.digest_batch(&self.backend, items, out);
         }
     }
 
@@ -257,14 +280,14 @@ impl PersistDomain {
     /// refreshes).  The lazy engine skips the register writes: durable
     /// roots are only *read* at recovery, which always follows a
     /// [`sync_root`](Self::sync_root).  The policy counters are analytic
-    /// — charged identically in both modes, like the tree's hash counts.
+    /// — charged identically by both engines, like the tree's hash counts.
     pub(crate) fn persist_root(&mut self) {
         self.policy_state.leaf_persists += 1;
         self.policy_state.node_writes += self.policy.tree.node_writes_per_persist();
         if self.policy.counters == CounterLayout::Shadow {
             self.policy_state.shadow_writes += 1;
         }
-        if self.mode == MetadataMode::Eager {
+        if self.eager {
             self.nvm.set_bmt_root(self.tree.root());
             if self.policy.counters == CounterLayout::Shadow {
                 self.policy_state.shadow_root = Some(self.tree.root());
@@ -489,7 +512,7 @@ impl PersistDomain {
 
     /// Overlays state captured by [`encode_into`](Self::encode_into) onto
     /// a domain constructed with the same scalars (salts, tree kind,
-    /// metadata mode, backend, key seed).
+    /// engine, key seed).
     pub(crate) fn restore_from(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         let n = r.seq_len(8 + 64)?;
         let mut golden = FxHashMap::default();
@@ -522,9 +545,7 @@ impl PersistDomain {
         let tree_key = (self.seed ^ self.keys.tree_xor).to_le_bytes();
         let mut rebuilt = IntegrityTree::new(self.tree_kind, &tree_key, BMT_ARITY, self.bmt_levels);
         rebuilt.set_backend(self.backend);
-        if self.mode == MetadataMode::Lazy {
-            rebuilt.set_lazy(true);
-        }
+        rebuilt.set_lazy(!self.eager);
         rebuilt
     }
 }
@@ -550,11 +571,10 @@ mod tests {
             DomainKeys::SECPB,
             TreeKind::Monolithic,
             8,
-            MetadataMode::Eager,
-            CryptoBackendKind::Auto,
             7,
             PersistencePolicy::default(),
-        );
+        )
+        .into_reference();
         let block = Address(0x1000).block();
         d.golden.insert(block, [3u8; 64]);
         let entry = Entry::new(block, secpb_sim::addr::Asid(0), [3u8; 64], 0);
@@ -572,8 +592,6 @@ mod tests {
             DomainKeys::EADR,
             TreeKind::Monolithic,
             8,
-            MetadataMode::Lazy,
-            CryptoBackendKind::Auto,
             42,
             PersistencePolicy::default(),
         );

@@ -20,7 +20,7 @@ use secpb_mem::cache::LineState;
 use secpb_mem::hierarchy::{Hierarchy, HitLevel};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::TelemetrySink;
@@ -65,8 +65,6 @@ impl EadrSystem {
             DomainKeys::EADR,
             TreeKind::Monolithic,
             cfg.security.bmt_levels,
-            cfg.security.metadata_mode,
-            cfg.security.crypto_backend,
             key_seed,
             policy,
         );
@@ -78,6 +76,14 @@ impl EadrSystem {
             stats: Stats::new(),
             cfg,
         }
+    }
+
+    /// This freshly built system switched to the reference engine (eager
+    /// metadata on the `Scalar` kernel).
+    #[cfg(test)]
+    pub(crate) fn into_reference(mut self) -> Self {
+        self.domain = self.domain.into_reference();
+        self
     }
 
     /// Accumulated statistics.
@@ -100,11 +106,6 @@ impl EadrSystem {
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
-    }
-
-    /// Whether the security-metadata engine is eager or lazy.
-    pub fn metadata_mode(&self) -> MetadataMode {
-        self.domain.mode
     }
 
     /// Combined memo-cache statistics (pad cache + counter-digest memo).

@@ -78,6 +78,9 @@ pub mod scheme;
 pub mod system;
 pub mod tree;
 
+#[cfg(test)]
+mod reference_tests;
+
 pub use buffer::SecPb;
 pub use checkpoint::CheckpointError;
 pub use crash::{ConfigError, CrashKind, DrainPolicy, ObserverPolicy, RecoveryReport};

@@ -22,7 +22,7 @@
 
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
@@ -91,8 +91,6 @@ impl MultiCoreSystem {
             DomainKeys::MULTI_CORE,
             TreeKind::Monolithic,
             cfg.security.bmt_levels,
-            cfg.security.metadata_mode,
-            cfg.security.crypto_backend,
             key_seed,
             policy,
         );
@@ -104,6 +102,14 @@ impl MultiCoreSystem {
             scheme,
             cfg,
         })
+    }
+
+    /// This freshly built system switched to the reference engine (eager
+    /// metadata on the `Scalar` kernel).
+    #[cfg(test)]
+    pub(crate) fn into_reference(mut self) -> Self {
+        self.domain = self.domain.into_reference();
+        self
     }
 
     /// Number of cores.
@@ -119,11 +125,6 @@ impl MultiCoreSystem {
     /// A core's local clock.
     pub fn core_time(&self, core: usize) -> Cycle {
         self.core_now[core]
-    }
-
-    /// Whether the security-metadata engine is eager or lazy.
-    pub fn metadata_mode(&self) -> MetadataMode {
-        self.domain.mode
     }
 
     /// Combined memo-cache statistics (pad cache + counter-digest memo).

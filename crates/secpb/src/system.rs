@@ -33,7 +33,7 @@ use secpb_mem::nvm::NvmTiming;
 use secpb_mem::store::NvmStore;
 use secpb_mem::wpq::WritePendingQueue;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::{HistId, StatId, Stats};
 use secpb_sim::telemetry::TelemetrySink;
@@ -218,8 +218,6 @@ impl SecureSystem {
             DomainKeys::SECPB,
             tree_kind,
             cfg.security.bmt_levels,
-            cfg.security.metadata_mode,
-            cfg.security.crypto_backend,
             key_seed,
             policy,
         );
@@ -248,6 +246,15 @@ impl SecureSystem {
         })
     }
 
+    /// This freshly built system switched to the reference engine (eager
+    /// metadata on the `Scalar` kernel) the production path is checked
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn into_reference(mut self) -> Self {
+        self.domain = self.domain.into_reference();
+        self
+    }
+
     /// The persistence policy driving this system.
     pub fn policy(&self) -> PersistencePolicy {
         self.domain.policy()
@@ -266,11 +273,6 @@ impl SecureSystem {
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
-    }
-
-    /// Whether the security-metadata engine is eager or lazy.
-    pub fn metadata_mode(&self) -> MetadataMode {
-        self.domain.mode
     }
 
     /// The integrity tree (for inspecting fold statistics).

@@ -141,96 +141,6 @@ impl SecPbConfig {
     }
 }
 
-/// How the *functional* security metadata (integrity-tree nodes, OTP
-/// pads, counter-block digests) is computed.  This is not a timing knob:
-/// both modes produce byte-identical roots, statistics, and reports —
-/// the timing model charges analytic hash counts either way.  Lazy mode
-/// defers the HMAC leaf-to-root folds to observation points (crash,
-/// recovery, explicit sync) and memoizes pads/digests, which is how the
-/// simulator itself stays fast on the store hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MetadataMode {
-    /// Walk the integrity tree and recompute every pad/digest on every
-    /// update (the reference engine the equivalence harness checks
-    /// against).
-    Eager,
-    /// Record dirty leaves and batch the HMAC folding at observation
-    /// points; memoize OTP pads and counter-block digests.
-    #[default]
-    Lazy,
-}
-
-impl MetadataMode {
-    /// Stable lowercase name (CLI flags, JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            MetadataMode::Eager => "eager",
-            MetadataMode::Lazy => "lazy",
-        }
-    }
-}
-
-impl std::str::FromStr for MetadataMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "eager" => Ok(MetadataMode::Eager),
-            "lazy" => Ok(MetadataMode::Lazy),
-            other => Err(format!("unknown metadata mode '{other}' (eager|lazy)")),
-        }
-    }
-}
-
-/// Which crypto backend the functional engines dispatch hashing and
-/// encryption through.  Purely a host-performance knob: every backend is
-/// byte-identical (the equivalence suites assert it), so reports, roots,
-/// and recovery verdicts never depend on the choice.  The actual backend
-/// implementations live in `secpb-crypto`; this enum only *names* them so
-/// configuration stays dependency-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CryptoBackendKind {
-    /// Hardware (AES-NI) when compiled in and detected at runtime,
-    /// multi-block software pipelining otherwise.
-    #[default]
-    Auto,
-    /// One-block-at-a-time reference implementation.
-    Scalar,
-    /// Software-pipelined multi-block (4-lane SHA-512) dispatch.
-    MultiBlock,
-    /// `std::arch` AES-NI cipher kernels (requires the `hw-crypto`
-    /// feature and runtime CPU support; falls back to scalar otherwise).
-    Hw,
-}
-
-impl CryptoBackendKind {
-    /// Stable lowercase name (CLI flags, JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            CryptoBackendKind::Auto => "auto",
-            CryptoBackendKind::Scalar => "scalar",
-            CryptoBackendKind::MultiBlock => "multiblock",
-            CryptoBackendKind::Hw => "hw",
-        }
-    }
-}
-
-impl std::str::FromStr for CryptoBackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(CryptoBackendKind::Auto),
-            "scalar" => Ok(CryptoBackendKind::Scalar),
-            "multiblock" | "multi-block" => Ok(CryptoBackendKind::MultiBlock),
-            "hw" | "hw-crypto" | "aesni" => Ok(CryptoBackendKind::Hw),
-            other => Err(format!(
-                "unknown crypto backend '{other}' (auto|scalar|multiblock|hw)"
-            )),
-        }
-    }
-}
-
 /// Security-mechanism latencies (Table I, "Security Mechanisms").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecurityConfig {
@@ -257,12 +167,6 @@ pub struct SecurityConfig {
     /// paper's assumption in Section V-A).  When `false`, a load that
     /// misses to memory stalls for decryption + verification.
     pub speculative_verification: bool,
-    /// Functional metadata engine mode (lazy folding + memoization vs
-    /// the eager reference; observable outputs are identical).
-    pub metadata_mode: MetadataMode,
-    /// Crypto backend the functional engines dispatch through (a host
-    /// performance knob; observable outputs are identical).
-    pub crypto_backend: CryptoBackendKind,
     /// Triad-NVM-style selective tree persistence: persist BMT levels
     /// `0..triad_levels` alongside the root and reconstruct only the
     /// remainder at recovery (Awad et al.).  `0` keeps the baseline
@@ -284,8 +188,6 @@ impl Default for SecurityConfig {
             single_inflight_bmt: true,
             value_independent_coalescing: true,
             speculative_verification: true,
-            metadata_mode: MetadataMode::default(),
-            crypto_backend: CryptoBackendKind::default(),
             triad_levels: 0,
             shadow_counters: false,
         }
@@ -409,22 +311,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with the functional metadata engine switched
-    /// between the eager reference and the lazy (deferred-fold,
-    /// memoized) engine.  Observable outputs are identical in both.
-    pub fn with_metadata_mode(mut self, mode: MetadataMode) -> Self {
-        self.security.metadata_mode = mode;
-        self
-    }
-
-    /// Returns a copy with the functional crypto backend switched
-    /// (scalar reference, multi-block software pipelining, or hardware
-    /// AES-NI).  Observable outputs are identical in all of them.
-    pub fn with_crypto_backend(mut self, backend: CryptoBackendKind) -> Self {
-        self.security.crypto_backend = backend;
-        self
-    }
-
     /// Returns a copy with Triad-NVM-style selective tree persistence:
     /// BMT levels `0..levels` are persisted alongside the root; the rest
     /// of the tree is reconstructed at recovery.  `0` restores the
@@ -539,45 +425,5 @@ mod tests {
     #[should_panic(expected = "watermarks")]
     fn watermark_builder_validates() {
         SystemConfig::default().with_watermarks(0.2, 0.8);
-    }
-
-    #[test]
-    fn crypto_backend_defaults_auto_and_parses() {
-        assert_eq!(CryptoBackendKind::default(), CryptoBackendKind::Auto);
-        assert_eq!(
-            SystemConfig::default().security.crypto_backend,
-            CryptoBackendKind::Auto
-        );
-        assert_eq!("auto".parse(), Ok(CryptoBackendKind::Auto));
-        assert_eq!("Scalar".parse(), Ok(CryptoBackendKind::Scalar));
-        assert_eq!("multi-block".parse(), Ok(CryptoBackendKind::MultiBlock));
-        assert_eq!("aesni".parse(), Ok(CryptoBackendKind::Hw));
-        assert!("simd9".parse::<CryptoBackendKind>().is_err());
-        for kind in [
-            CryptoBackendKind::Auto,
-            CryptoBackendKind::Scalar,
-            CryptoBackendKind::MultiBlock,
-            CryptoBackendKind::Hw,
-        ] {
-            assert_eq!(kind.name().parse(), Ok(kind), "name round-trips");
-        }
-        let cfg = SystemConfig::default().with_crypto_backend(CryptoBackendKind::Scalar);
-        assert_eq!(cfg.security.crypto_backend, CryptoBackendKind::Scalar);
-    }
-
-    #[test]
-    fn metadata_mode_defaults_lazy_and_parses() {
-        assert_eq!(MetadataMode::default(), MetadataMode::Lazy);
-        assert_eq!(
-            SystemConfig::default().security.metadata_mode,
-            MetadataMode::Lazy
-        );
-        assert_eq!("eager".parse::<MetadataMode>(), Ok(MetadataMode::Eager));
-        assert_eq!("LAZY".parse::<MetadataMode>(), Ok(MetadataMode::Lazy));
-        assert!("eagre".parse::<MetadataMode>().is_err());
-        let eager = SystemConfig::default().with_metadata_mode(MetadataMode::Eager);
-        assert_eq!(eager.security.metadata_mode, MetadataMode::Eager);
-        assert_eq!(MetadataMode::Eager.name(), "eager");
-        assert_eq!(MetadataMode::Lazy.name(), "lazy");
     }
 }

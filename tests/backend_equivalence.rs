@@ -1,32 +1,27 @@
 //! Crypto-backend equivalence suite: the pluggable SIMD/multi-block
-//! backends are a pure performance feature, so every observable output
-//! must be byte-identical no matter which backend computed it.
+//! kernels are a pure performance feature, so every digest must be
+//! byte-identical no matter which kernel computed it.
 //!
-//! Scalar is the reference engine.  MultiBlock (4-lane interleaved
+//! Scalar is the reference kernel.  MultiBlock (4-lane interleaved
 //! SHA-512 schedule) and HwCrypto (AES-NI + vectorized hash when the
 //! `hw-crypto` feature is compiled in and the ISA is detected; graceful
-//! scalar fallback otherwise) must agree with it on digests, grid JSON
-//! reports, crash/recovery verdicts, and telemetry-on/off parity.  The
-//! sweep always runs all three — on hosts without the feature or the
-//! ISA the hw backend exercises its fallback path, which is exactly the
-//! behaviour the fallback must get right.
+//! scalar fallback otherwise) must agree with it.  The sweep always runs
+//! all three — on hosts without the feature or the ISA the hw kernel
+//! exercises its fallback path, which is exactly the behaviour the
+//! fallback must get right.  The system-level checks (grid JSON,
+//! crash/recovery verdicts, telemetry parity) run the production path
+//! against the eager `Scalar` reference inside `secpb-core`
+//! (`reference_tests`).
 //!
 //! Also here: the arena stress test (churned ASIDs, overflow → slot
-//! reuse, stale-handle aliasing) because the arena rides the same PR's
-//! hot path and its invariants guard the same buffers the backends
-//! encrypt.
+//! reuse, stale-handle aliasing) because the arena rides the same hot
+//! path and its invariants guard the same buffers the kernels encrypt.
 
-use secpb::bench::experiments::GridCell;
 use secpb::core::arena::EntryArena;
-use secpb::core::crash::{CrashKind, DrainPolicy};
 use secpb::core::entry::Entry;
-use secpb::core::scheme::Scheme;
-use secpb::core::system::SecureSystem;
 use secpb::crypto::backend::{CryptoBackend, HashBackend};
 use secpb::crypto::sha512::{digest64_batch, Sha512};
 use secpb::sim::addr::{Asid, BlockAddr};
-use secpb::sim::config::{CryptoBackendKind, SystemConfig};
-use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
 /// Deterministic xorshift64* fuzz source (no external RNG crates).
 struct Fuzz(u64);
@@ -46,20 +41,6 @@ impl Fuzz {
         }
         out
     }
-}
-
-/// Every backend kind the config can name, swept against the scalar
-/// reference.  `Auto` is included so whatever it resolves to on this
-/// host is also pinned to the reference output.
-const KINDS: [CryptoBackendKind; 4] = [
-    CryptoBackendKind::Scalar,
-    CryptoBackendKind::MultiBlock,
-    CryptoBackendKind::Hw,
-    CryptoBackendKind::Auto,
-];
-
-fn cfg_with(kind: CryptoBackendKind) -> SystemConfig {
-    SystemConfig::default().with_crypto_backend(kind)
 }
 
 #[test]
@@ -86,102 +67,11 @@ fn fuzzed_digest_batches_agree_across_backends() {
 }
 
 #[test]
-fn grid_json_reports_agree_across_backends() {
-    // A grid-style cell must emit byte-identical JSON whichever backend
-    // ran the crypto.
-    for scheme in [Scheme::Bbb, Scheme::Cobcm] {
-        let profile = WorkloadProfile::named("gamess").unwrap();
-        let run = |kind| {
-            GridCell::new(profile.clone(), scheme, 15_000)
-                .with_cfg(cfg_with(kind))
-                .run()
-                .to_json()
-                .to_pretty()
-        };
-        let reference = run(CryptoBackendKind::Scalar);
-        for kind in KINDS {
-            assert_eq!(
-                run(kind),
-                reference,
-                "{scheme}/{}: grid JSON diverged from scalar reference",
-                kind.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn fuzzed_crash_recovery_verdicts_agree_across_backends() {
-    // Fuzzed traces per scheme: crash report, persisted BMT root, full
-    // stats, and the recovery verdict must all match the scalar run.
-    for (scheme, workload, fuzz) in [
-        (Scheme::Cobcm, "milc", 101u64),
-        (Scheme::Bbb, "astar", 211),
-        (Scheme::Cobcm, "hmmer", 307),
-    ] {
-        let profile = WorkloadProfile::named(workload).unwrap();
-        let run = |kind| {
-            let trace = TraceGenerator::new(profile.clone(), fuzz).generate(12_000);
-            let mut sys = SecureSystem::new(cfg_with(kind), scheme, fuzz ^ 0xC3);
-            sys.run_trace(trace);
-            let report = sys
-                .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
-                .unwrap();
-            (report, sys)
-        };
-        let (ref_report, ref_sys) = run(CryptoBackendKind::Scalar);
-        let ref_rec = ref_sys.recover();
-        assert!(ref_rec.is_consistent());
-        for kind in KINDS {
-            let (report, sys) = run(kind);
-            let name = kind.name();
-            assert_eq!(
-                report, ref_report,
-                "{scheme}/{workload}/{name}: crash report diverged"
-            );
-            assert_eq!(
-                sys.nvm_store().bmt_root(),
-                ref_sys.nvm_store().bmt_root(),
-                "{scheme}/{workload}/{name}: persisted BMT root diverged"
-            );
-            assert_eq!(
-                sys.stats().to_json().to_pretty(),
-                ref_sys.stats().to_json().to_pretty(),
-                "{scheme}/{workload}/{name}: stats diverged"
-            );
-            assert_eq!(
-                sys.recover(),
-                ref_rec,
-                "{scheme}/{workload}/{name}: recovery verdict diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn telemetry_on_off_parity_holds_for_every_backend() {
-    // Telemetry observes, never steers — attaching a ring must not
-    // change the result or the recovery verdict for any backend.
-    let profile = WorkloadProfile::named("povray").unwrap();
-    for kind in KINDS {
-        let cell = GridCell::new(profile.clone(), Scheme::Cobcm, 10_000).with_cfg(cfg_with(kind));
-        let (plain, plain_check) = cell.run_with_recovery();
-        let (telemetered, tele_check, digest) = cell.run_with_recovery_telemetered(1 << 14);
-        let name = kind.name();
-        assert_eq!(plain, telemetered, "{name}: telemetry changed the result");
-        assert_eq!(
-            plain_check, tele_check,
-            "{name}: telemetry changed the recovery verdict"
-        );
-        assert!(digest.events > 0, "{name}: telemetered run emitted nothing");
-    }
-}
-
-#[test]
 fn hw_backend_reports_detection_consistently() {
     // auto() must resolve to HwCrypto exactly when hw_available() says
     // so; on every other host it must be MultiBlock.  Either way the
-    // equivalence sweeps above pin its output to the scalar reference.
+    // digest sweep above and the reference suite in `secpb-core` pin its
+    // output to the scalar reference.
     if CryptoBackend::hw_available() {
         assert_eq!(CryptoBackend::auto(), CryptoBackend::HwCrypto);
     } else {

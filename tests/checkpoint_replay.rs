@@ -1,7 +1,7 @@
 //! Checkpoint/restore equivalence suite: restoring a system at epoch N
 //! and replaying epochs N..M must be byte-identical to the
-//! uninterrupted run — for every scheme, both metadata engines, and
-//! every integrity-tree organisation.  This is the contract the serve
+//! uninterrupted run — for every scheme and every integrity-tree
+//! organisation.  This is the contract the serve
 //! plane's shard crash-recovery and the soak harness's restarts build
 //! on: a crashed shard restored from its last checkpoint and fed the
 //! replayed epochs is indistinguishable from one that never crashed.
@@ -12,7 +12,7 @@ use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::core::tree::TreeKind;
 use secpb::core::CheckpointError;
-use secpb::sim::config::{MetadataMode, SystemConfig};
+use secpb::sim::config::SystemConfig;
 use secpb::sim::trace::TraceItem;
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
@@ -29,13 +29,8 @@ fn epochs(workload: &str, seed: u64, n: usize, len: usize) -> Vec<Vec<TraceItem>
     items[..n * len].chunks(len).map(|c| c.to_vec()).collect()
 }
 
-fn build(mode: MetadataMode, scheme: Scheme, kind: TreeKind, seed: u64) -> SecureSystem {
-    SecureSystem::with_tree(
-        SystemConfig::default().with_metadata_mode(mode),
-        scheme,
-        kind,
-        seed,
-    )
+fn build(scheme: Scheme, kind: TreeKind, seed: u64) -> SecureSystem {
+    SecureSystem::with_tree(SystemConfig::default(), scheme, kind, seed)
 }
 
 /// Runs `sys` over `epochs`, calling `sync_metadata` at every epoch
@@ -60,48 +55,42 @@ fn run_epochs(
 #[test]
 fn restore_at_epoch_n_plus_replay_matches_straight_through_for_all_schemes() {
     for scheme in Scheme::ALL {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let epochs = epochs("milc", 0xC0FFEE ^ scheme as u64, 6, 1500);
-            let mut reference = build(mode, scheme, TreeKind::Monolithic, 17);
-            let (snap, final_ref) = run_epochs(&mut reference, &epochs, 2);
+        let epochs = epochs("milc", 0xC0FFEE ^ scheme as u64, 6, 1500);
+        let mut reference = build(scheme, TreeKind::Monolithic, 17);
+        let (snap, final_ref) = run_epochs(&mut reference, &epochs, 2);
 
-            let mut resumed = build(mode, scheme, TreeKind::Monolithic, 17);
-            resumed.restore_bytes(&snap).unwrap();
-            for epoch in &epochs[3..] {
-                resumed.run_trace(epoch.iter().copied());
-                resumed.sync_metadata();
-            }
-            assert_eq!(
-                resumed.checkpoint_bytes(),
-                final_ref,
-                "{scheme}/{}: restored+replayed state diverged from straight-through",
-                mode.name()
-            );
+        let mut resumed = build(scheme, TreeKind::Monolithic, 17);
+        resumed.restore_bytes(&snap).unwrap();
+        for epoch in &epochs[3..] {
+            resumed.run_trace(epoch.iter().copied());
+            resumed.sync_metadata();
         }
+        assert_eq!(
+            resumed.checkpoint_bytes(),
+            final_ref,
+            "{scheme}: restored+replayed state diverged from straight-through"
+        );
     }
 }
 
 #[test]
 fn forest_trees_replay_identically_after_restore() {
     for kind in [TreeKind::Dbmf, TreeKind::Sbmf] {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let epochs = epochs("povray", 99, 5, 1200);
-            let mut reference = build(mode, Scheme::Cobcm, kind, 5);
-            let (snap, final_ref) = run_epochs(&mut reference, &epochs, 1);
+        let epochs = epochs("povray", 99, 5, 1200);
+        let mut reference = build(Scheme::Cobcm, kind, 5);
+        let (snap, final_ref) = run_epochs(&mut reference, &epochs, 1);
 
-            let mut resumed = build(mode, Scheme::Cobcm, kind, 5);
-            resumed.restore_bytes(&snap).unwrap();
-            for epoch in &epochs[2..] {
-                resumed.run_trace(epoch.iter().copied());
-                resumed.sync_metadata();
-            }
-            assert_eq!(
-                resumed.checkpoint_bytes(),
-                final_ref,
-                "{kind:?}/{}: restored+replayed state diverged",
-                mode.name()
-            );
+        let mut resumed = build(Scheme::Cobcm, kind, 5);
+        resumed.restore_bytes(&snap).unwrap();
+        for epoch in &epochs[2..] {
+            resumed.run_trace(epoch.iter().copied());
+            resumed.sync_metadata();
         }
+        assert_eq!(
+            resumed.checkpoint_bytes(),
+            final_ref,
+            "{kind:?}: restored+replayed state diverged"
+        );
     }
 }
 
@@ -110,7 +99,7 @@ fn restored_system_survives_crash_and_recovery_identically() {
     // Crash/recovery verdicts after a restore+replay must match the
     // uninterrupted run's: same drained work, same recovery report.
     let epochs = epochs("hmmer", 3, 4, 1500);
-    let mut reference = build(MetadataMode::Lazy, Scheme::Bcm, TreeKind::Monolithic, 31);
+    let mut reference = build(Scheme::Bcm, TreeKind::Monolithic, 31);
     let (snap, _) = run_epochs(&mut reference, &epochs, 1);
     let ref_report = reference
         .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
@@ -118,7 +107,7 @@ fn restored_system_survives_crash_and_recovery_identically() {
     let ref_recovery = reference.recover();
     assert!(ref_recovery.is_consistent());
 
-    let mut resumed = build(MetadataMode::Lazy, Scheme::Bcm, TreeKind::Monolithic, 31);
+    let mut resumed = build(Scheme::Bcm, TreeKind::Monolithic, 31);
     resumed.restore_bytes(&snap).unwrap();
     for epoch in &epochs[2..] {
         resumed.run_trace(epoch.iter().copied());
@@ -153,34 +142,29 @@ fn policy_fronts_replay_identically_after_restore() {
         ),
     ];
     for (name, cfg) in &fronts {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let epochs = epochs("milc", 0xFA57 ^ mode as u64, 5, 1500);
-            let cfg = cfg.clone().with_metadata_mode(mode);
-            let mut reference =
-                SecureSystem::build(cfg.clone(), Scheme::NoGap, TreeKind::Monolithic, 23).unwrap();
-            let (snap, final_ref) = run_epochs(&mut reference, &epochs, 2);
+        let epochs = epochs("milc", 0xFA56, 5, 1500);
+        let mut reference =
+            SecureSystem::build(cfg.clone(), Scheme::NoGap, TreeKind::Monolithic, 23).unwrap();
+        let (snap, final_ref) = run_epochs(&mut reference, &epochs, 2);
 
-            let mut resumed =
-                SecureSystem::build(cfg, Scheme::NoGap, TreeKind::Monolithic, 23).unwrap();
-            resumed.restore_bytes(&snap).unwrap();
-            for epoch in &epochs[3..] {
-                resumed.run_trace(epoch.iter().copied());
-                resumed.sync_metadata();
-            }
-            assert_eq!(
-                resumed.checkpoint_bytes(),
-                final_ref,
-                "{name}/{}: restored+replayed state diverged",
-                mode.name()
-            );
-            assert_eq!(
-                resumed.policy_state(),
-                reference.policy_state(),
-                "{name}/{}: policy state (shadow root / write-amp) diverged",
-                mode.name()
-            );
-            assert!(resumed.recover().is_consistent(), "{name}/{}", mode.name());
+        let mut resumed =
+            SecureSystem::build(cfg.clone(), Scheme::NoGap, TreeKind::Monolithic, 23).unwrap();
+        resumed.restore_bytes(&snap).unwrap();
+        for epoch in &epochs[3..] {
+            resumed.run_trace(epoch.iter().copied());
+            resumed.sync_metadata();
         }
+        assert_eq!(
+            resumed.checkpoint_bytes(),
+            final_ref,
+            "{name}: restored+replayed state diverged"
+        );
+        assert_eq!(
+            resumed.policy_state(),
+            reference.policy_state(),
+            "{name}: policy state (shadow root / write-amp) diverged"
+        );
+        assert!(resumed.recover().is_consistent(), "{name}");
     }
 }
 
@@ -241,11 +225,11 @@ fn checkpoint_of_restored_system_reproduces_original_bytes() {
     // checkpoint is the identity on bytes, even mid-stream with live
     // SecPB occupancy and in-flight drains.
     let epochs = epochs("gcc", 8, 3, 2000);
-    let mut sys = build(MetadataMode::Lazy, Scheme::Cobcm, TreeKind::Dbmf, 77);
+    let mut sys = build(Scheme::Cobcm, TreeKind::Dbmf, 77);
     sys.run_trace(epochs[0].iter().copied());
     // No sync: leave lazy folds pending and drains in flight.
     let bytes = sys.checkpoint_bytes();
-    let mut target = build(MetadataMode::Lazy, Scheme::Cobcm, TreeKind::Dbmf, 77);
+    let mut target = build(Scheme::Cobcm, TreeKind::Dbmf, 77);
     target.restore_bytes(&bytes).unwrap();
     assert_eq!(target.checkpoint_bytes(), bytes);
 }

@@ -1,187 +1,25 @@
-//! Eager-vs-lazy metadata-engine equivalence suite (the tentpole's
-//! correctness contract): the lazy engine defers HMAC folding to
-//! observation points and memoizes pads/digests, but every observable
-//! output — stats, timing, persisted roots, recovery reports, and the
-//! byte-exact JSON the grid emits — must be identical to the eager
-//! engine's.
+//! The lazy metadata engine's production-path contract.  The lazy
+//! engine defers HMAC folding to observation points and memoizes
+//! pads/digests; it is the only engine the fronts run.  Its byte-for-byte
+//! equivalence with the eager reference engine is checked inside
+//! `secpb-core` (`reference_tests`), the only place the reference can be
+//! built.
 
-use secpb::bench::experiments::run_benchmark;
 use secpb::core::crash::{CrashKind, DrainPolicy};
-use secpb::core::eadr::EadrSystem;
 use secpb::core::metrics::counters;
-use secpb::core::multicore::{CoreStore, MultiCoreSystem};
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
-use secpb::core::tree::TreeKind;
-use secpb::sim::addr::{Address, Asid};
-use secpb::sim::config::{MetadataMode, SystemConfig};
-use secpb::sim::trace::Access;
+use secpb::sim::config::SystemConfig;
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
-
-fn cfg_with(mode: MetadataMode) -> SystemConfig {
-    SystemConfig::default().with_metadata_mode(mode)
-}
-
-/// All six SecPB schemes plus both baselines (bbb and SP).
-fn all_schemes() -> impl Iterator<Item = Scheme> {
-    Scheme::ALL.into_iter()
-}
-
-#[test]
-fn grid_json_reports_are_byte_identical_for_all_schemes() {
-    // The acceptance criterion: grid-style runs produce byte-identical
-    // JSON reports in both modes, for every scheme.
-    let profile = WorkloadProfile::named("gcc").unwrap();
-    for scheme in all_schemes() {
-        let run = |mode| {
-            run_benchmark(
-                &profile,
-                scheme,
-                cfg_with(mode),
-                TreeKind::Monolithic,
-                20_000,
-            )
-        };
-        let eager = run(MetadataMode::Eager).to_json().to_pretty();
-        let lazy = run(MetadataMode::Lazy).to_json().to_pretty();
-        assert_eq!(eager, lazy, "{scheme}: grid JSON diverged across modes");
-    }
-}
-
-#[test]
-fn forest_tree_kinds_are_byte_identical_across_modes() {
-    let profile = WorkloadProfile::named("povray").unwrap();
-    for kind in [TreeKind::Dbmf, TreeKind::Sbmf] {
-        let run = |mode| run_benchmark(&profile, Scheme::Cobcm, cfg_with(mode), kind, 20_000);
-        let eager = run(MetadataMode::Eager).to_json().to_pretty();
-        let lazy = run(MetadataMode::Lazy).to_json().to_pretty();
-        assert_eq!(eager, lazy, "{kind:?}: grid JSON diverged across modes");
-    }
-}
-
-#[test]
-fn fuzzed_crashes_agree_on_roots_reports_and_stats() {
-    // Fuzzed traces: several workloads x seeds per scheme; after a crash
-    // the persisted root, the crash report, the recovery report, and the
-    // full stats must agree between modes.
-    for scheme in all_schemes() {
-        for (workload, fuzz) in [("milc", 11u64), ("astar", 23), ("hmmer", 37)] {
-            let profile = WorkloadProfile::named(workload).unwrap();
-            let run = |mode| {
-                let trace = TraceGenerator::new(profile.clone(), fuzz).generate(15_000);
-                let mut sys = SecureSystem::new(cfg_with(mode), scheme, fuzz ^ 0xA5);
-                sys.run_trace(trace);
-                let report = sys
-                    .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
-                    .unwrap();
-                (report, sys)
-            };
-            let (er, esys) = run(MetadataMode::Eager);
-            let (lr, lsys) = run(MetadataMode::Lazy);
-            assert_eq!(er, lr, "{scheme}/{workload}: crash report diverged");
-            assert_eq!(
-                esys.nvm_store().bmt_root(),
-                lsys.nvm_store().bmt_root(),
-                "{scheme}/{workload}: persisted BMT root diverged"
-            );
-            assert_eq!(
-                esys.stats().to_json().to_pretty(),
-                lsys.stats().to_json().to_pretty(),
-                "{scheme}/{workload}: stats diverged"
-            );
-            let erec = esys.recover();
-            let lrec = lsys.recover();
-            assert!(erec.is_consistent() && lrec.is_consistent());
-            assert_eq!(erec, lrec, "{scheme}/{workload}: recovery diverged");
-        }
-    }
-}
-
-#[test]
-fn application_crash_policies_agree_across_modes() {
-    for policy in [DrainPolicy::DrainAll, DrainPolicy::DrainProcess] {
-        let profile = WorkloadProfile::named("gamess").unwrap();
-        let run = |mode| {
-            let trace = TraceGenerator::new(profile.clone(), 5).generate(12_000);
-            let mut sys = SecureSystem::new(cfg_with(mode), Scheme::Cobcm, 5);
-            sys.run_trace(trace);
-            let report = sys
-                .crash(CrashKind::ApplicationCrash(Asid(0)), policy)
-                .unwrap();
-            (report, sys)
-        };
-        let (er, esys) = run(MetadataMode::Eager);
-        let (lr, lsys) = run(MetadataMode::Lazy);
-        assert_eq!(er, lr, "{policy:?}: crash report diverged");
-        assert_eq!(
-            esys.recover(),
-            lsys.recover(),
-            "{policy:?}: recovery diverged"
-        );
-    }
-}
-
-#[test]
-fn eadr_system_agrees_across_modes() {
-    let run = |mode| {
-        let mut sys = EadrSystem::new(cfg_with(mode), 9);
-        let trace: Vec<_> = (0..800u64)
-            .map(|i| {
-                secpb::sim::trace::TraceItem::then(
-                    7,
-                    Access::store(Address(0x20_0000 + (i % 300) * 64), i),
-                )
-            })
-            .collect();
-        sys.run_trace(trace);
-        let work = sys.crash();
-        (work, sys)
-    };
-    let (ew, esys) = run(MetadataMode::Eager);
-    let (lw, lsys) = run(MetadataMode::Lazy);
-    assert_eq!(ew, lw, "eADR drain work diverged");
-    let erec = esys.recover();
-    let lrec = lsys.recover();
-    assert!(erec.is_consistent() && lrec.is_consistent());
-    assert_eq!(erec, lrec, "eADR recovery diverged");
-}
-
-#[test]
-fn multicore_system_agrees_across_modes() {
-    let run = |mode| {
-        let mut sys = MultiCoreSystem::new(cfg_with(mode), Scheme::Cobcm, 4, 77).unwrap();
-        for i in 0..600u64 {
-            let core = (i % 4) as usize;
-            sys.store(CoreStore {
-                core,
-                access: Access::store(Address(0x30_0000 + (i % 150) * 64), i)
-                    .with_asid(Asid(core as u16)),
-            });
-        }
-        // Cross-core reads exercise the remote-flush path in both modes.
-        for i in 0..50u64 {
-            sys.load(3, Address(0x30_0000 + i * 64).block());
-        }
-        let drained = sys.crash().unwrap();
-        (drained, sys)
-    };
-    let (ed, esys) = run(MetadataMode::Eager);
-    let (ld, lsys) = run(MetadataMode::Lazy);
-    assert_eq!(ed, ld, "multicore drain count diverged");
-    let erec = esys.recover();
-    let lrec = lsys.recover();
-    assert!(erec.is_consistent() && lrec.is_consistent());
-    assert_eq!(erec, lrec, "multicore recovery diverged");
-}
 
 #[test]
 fn lazy_engine_at_least_halves_hmac_invocations() {
-    // The tentpole's performance contract: on a coalescing workload the
-    // folds' actual HMAC count is at most half the analytic count the
-    // eager engine would execute (>= 2x fewer HMAC invocations).
+    // On a coalescing workload the folds' actual HMAC count is at most
+    // half the analytic count the eager engine would execute (>= 2x
+    // fewer HMAC invocations).
     let profile = WorkloadProfile::named("povray").unwrap();
     let trace = TraceGenerator::new(profile, 13).generate(30_000);
-    let mut sys = SecureSystem::new(cfg_with(MetadataMode::Lazy), Scheme::Cobcm, 13);
+    let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 13);
     sys.run_trace(trace);
     sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
         .unwrap();
@@ -196,10 +34,8 @@ fn lazy_engine_at_least_halves_hmac_invocations() {
 
 #[test]
 fn lazy_mode_is_the_default() {
+    // The production engine memoizes OTP pads; the eager reference never
+    // does.
     let sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 1);
-    assert_eq!(sys.metadata_mode(), MetadataMode::Lazy);
     assert!(sys.pad_cache_stats().is_some());
-    let eager = SecureSystem::new(cfg_with(MetadataMode::Eager), Scheme::Cobcm, 1);
-    assert_eq!(eager.metadata_mode(), MetadataMode::Eager);
-    assert!(eager.pad_cache_stats().is_none());
 }
