@@ -46,12 +46,12 @@ echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
 # kernels, without them it validates the fallback path (graceful skip
 # happens inside the backends, not here).  The workspace tests include
 # the secpb-core reference suite, so on an AES-NI/AVX2 host this lane
-# pins HwCrypto to the Scalar reference.  The release binaries the
-# gates below run are rebuilt by this lane, so the storm and the grid
+# pins HwCrypto to the Scalar reference.  The release `secpb` binary
+# the gates below run is rebuilt by this lane, so the storm and the grid
 # baseline exercise the hardware-class hot path.  The
 # feature must be enabled per package (--workspace), not just on the
 # root facade crate — a bare `--features hw-crypto` from the root only
-# rebuilds the facade and leaves the gate binaries on scalar kernels.
+# rebuilds the facade and leaves its dependencies on scalar kernels.
 cargo build --release --workspace --features hw-crypto
 cargo test -q --workspace --features hw-crypto
 
@@ -66,21 +66,22 @@ echo "==> crypto_micro regression guard (batched fold >= 2x scalar)"
 # Fails if the multi-block batched HMAC fold is not at least 2x faster
 # than the scalar backend; self-skips (with a notice) on hosts where the
 # vectorized hash kernel is unavailable.
-./target/release/crypto_micro --check
+cargo bench -p secpb-bench --features hw-crypto --bench crypto_micro -- --check
 
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
-# fault_storm exits nonzero on any panic, silent corruption, accounting
+# secpb storm exits nonzero on any panic, silent corruption, accounting
 # mismatch, or undetected bit flip across all schemes, every front, and
-# both drain policies; --quick keeps this to a few seconds.
-./target/release/fault_storm --quick
+# both drain policies, or if its brown-out pass loses nothing; --quick
+# keeps this to a few seconds.
+./target/release/secpb storm --quick
 
 echo "==> grid determinism smoke (2 workloads x 2 schemes, serial vs parallel, telemetered)"
-# bench_grid exits nonzero if the parallel grid diverges from the serial
+# secpb grid exits nonzero if the parallel grid diverges from the serial
 # one; --smoke keeps this to a few seconds.  With --telemetry the serial
 # pass runs with live rings attached, so the determinism gate also
 # proves telemetry events observe without steering.
-./target/release/bench_grid 50000 --jobs 4 --smoke --json /tmp/bench_grid_smoke_tel.json --telemetry
-./target/release/bench_grid 50000 --jobs 4 --smoke --json /tmp/bench_grid_smoke.json
+./target/release/secpb grid 50000 --jobs 4 --smoke --json /tmp/bench_grid_smoke_tel.json --telemetry
+./target/release/secpb grid 50000 --jobs 4 --smoke --json /tmp/bench_grid_smoke.json
 # Telemetry-on vs telemetry-off must produce byte-identical reports once
 # host-timing and ring-accounting fields are stripped: every simulated
 # number (cycles, ipc, recovery verdicts, recovery_cycles) is unchanged.
@@ -97,7 +98,7 @@ echo "==> grid parallel-determinism pin (--validate-parallel on every CI run)"
 # --validate-parallel pins the parallel pass to 2 workers so even a
 # 1-core CI host proves the serial/parallel byte-identity contract; the
 # report must record that the check ran.
-./target/release/bench_grid 50000 --smoke --validate-parallel --json /tmp/bench_grid_smoke_vp.json
+./target/release/secpb grid 50000 --smoke --validate-parallel --json /tmp/bench_grid_smoke_vp.json
 grep -q '"parallel_determinism_validated": true' /tmp/bench_grid_smoke_vp.json \
   || { echo "ci.sh: grid smoke did not validate parallel determinism" >&2; exit 1; }
 rm -f /tmp/bench_grid_smoke_vp.json
@@ -161,22 +162,22 @@ if [ "${SECPB_SOAK:-0}" = "1" ]; then
   ./target/release/secpb soak
 fi
 
-echo "==> service scaling + determinism smoke (serve_bench --smoke)"
-# serve_bench exits nonzero if any shard outcome diverges from a solo
+echo "==> service scaling + determinism smoke (secpb serve-bench --smoke)"
+# serve-bench exits nonzero if any shard outcome diverges from a solo
 # re-run of its tenants (the shard-determinism contract) or, where the
 # host has the cores to make wall-clock ratios meaningful, if aggregate
 # stores/sec degrades as shards are added.  Validate the report fields
 # the baseline depends on either way.
-./target/release/serve_bench --smoke --json /tmp/bench_serve_smoke.json
+./target/release/secpb serve-bench --smoke --json /tmp/bench_serve_smoke.json
 grep -q '"determinism_validated": true' /tmp/bench_serve_smoke.json \
-  || { echo "ci.sh: serve_bench did not validate shard determinism" >&2; exit 1; }
+  || { echo "ci.sh: serve-bench did not validate shard determinism" >&2; exit 1; }
 grep -q '"scaling_valid":' /tmp/bench_serve_smoke.json \
-  || { echo "ci.sh: serve_bench report missing scaling_valid" >&2; exit 1; }
+  || { echo "ci.sh: serve-bench report missing scaling_valid" >&2; exit 1; }
 grep -q '"aggregate_stores_per_sec":' /tmp/bench_serve_smoke.json \
-  || { echo "ci.sh: serve_bench report missing throughput fields" >&2; exit 1; }
+  || { echo "ci.sh: serve-bench report missing throughput fields" >&2; exit 1; }
 if grep -q '"scaling_valid": true' /tmp/bench_serve_smoke.json; then
   grep -q '"monotone_throughput": true' /tmp/bench_serve_smoke.json \
-    || { echo "ci.sh: serve_bench throughput degraded with shard count" >&2; exit 1; }
+    || { echo "ci.sh: serve-bench throughput degraded with shard count" >&2; exit 1; }
 fi
 rm -f /tmp/bench_serve_smoke.json
 
@@ -189,12 +190,12 @@ echo "$WATCH_OUT" | grep -q '^anomalies    0$' || { echo "ci.sh: watch reported 
 
 if [ "$UPDATE_BASELINE" = 1 ]; then
   echo "==> regenerate BENCH_grid.json (full grid wall-clock baseline)"
-  ./target/release/bench_grid 200000 --jobs 4 --update-baseline
+  ./target/release/secpb grid 200000 --jobs 4 --update-baseline
   echo "==> regenerate BENCH_serve.json (service scaling baseline)"
-  ./target/release/serve_bench --update-baseline
+  ./target/release/secpb serve-bench --update-baseline
 else
   echo "==> full grid run (temp output; --update-baseline refreshes BENCH_grid.json)"
-  ./target/release/bench_grid 200000 --jobs 4
+  ./target/release/secpb grid 200000 --jobs 4
 fi
 
 echo "CI OK"

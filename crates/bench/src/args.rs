@@ -1,50 +1,38 @@
-//! Shared command-line parsing for the table/figure binaries.
+//! Shared command-line parsing for the experiment runners.
 //!
-//! Every runner accepts the same surface:
+//! `secpb reproduce`, `grid` and `serve-bench` accept the same surface:
 //!
 //! ```text
-//! <bin> [instructions] [--jobs N] [--json out.json]
+//! [instructions] [--jobs N] [--json out.json]
 //! ```
 //!
 //! * `instructions` — positional measurement budget per benchmark,
-//! * `--jobs N` — worker threads for the experiment grid (default: the
-//!   machine's available parallelism; results are byte-identical for any
-//!   value, see `experiments::run_grid`),
+//! * `--jobs N` — worker threads for the experiment grid (results are
+//!   byte-identical for any value, see `experiments::run_grid`),
 //! * `--json PATH` — also dump the machine-readable payload to `PATH`.
-
-use secpb_sim::pool;
 
 /// Parsed arguments common to all experiment runners.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunnerArgs {
     /// Measurement-region instruction budget per benchmark.
     pub instructions: u64,
-    /// Worker threads for the experiment grid.
-    pub jobs: usize,
+    /// Worker threads for the experiment grid (`--jobs N`, at least 1),
+    /// if given.
+    pub jobs: Option<usize>,
     /// Optional JSON output path (`--json PATH`).
     pub json: Option<String>,
 }
 
 impl RunnerArgs {
-    /// Parses `std::env::args()` with the given default instruction
-    /// budget, exiting with a usage message on malformed input.
-    pub fn from_env(default_instructions: u64) -> RunnerArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match RunnerArgs::parse(&args, default_instructions) {
-            Ok(parsed) => parsed,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: <bin> [instructions] [--jobs N] [--json out.json]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses an argument slice (testable core of [`RunnerArgs::from_env`]).
+    /// Parses an argument slice.
+    ///
+    /// # Errors
+    ///
+    /// Names the malformed or unknown argument.
     pub fn parse(args: &[String], default_instructions: u64) -> Result<RunnerArgs, String> {
         let mut parsed = RunnerArgs {
             instructions: default_instructions,
-            jobs: pool::default_jobs(),
+            jobs: None,
             json: None,
         };
         let mut it = args.iter();
@@ -53,10 +41,11 @@ impl RunnerArgs {
             match arg.as_str() {
                 "--jobs" => {
                     let v = it.next().ok_or("--jobs needs a count")?;
-                    parsed.jobs = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad --jobs value {v:?}"))?
-                        .max(1);
+                    parsed.jobs = Some(
+                        v.parse::<usize>()
+                            .map_err(|_| format!("bad --jobs value {v:?}"))?
+                            .max(1),
+                    );
                 }
                 "--json" => {
                     let v = it.next().ok_or("--json needs a path")?;
@@ -73,14 +62,6 @@ impl RunnerArgs {
         }
         Ok(parsed)
     }
-
-    /// Writes the `--json` payload if one was requested.
-    pub fn write_json(&self, payload: &secpb_sim::json::Json) {
-        if let Some(path) = &self.json {
-            std::fs::write(path, payload.to_pretty()).expect("write json");
-            eprintln!("wrote {path}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +76,7 @@ mod tests {
     fn defaults_apply() {
         let a = RunnerArgs::parse(&[], 1_000_000).unwrap();
         assert_eq!(a.instructions, 1_000_000);
-        assert_eq!(a.jobs, pool::default_jobs());
+        assert_eq!(a.jobs, None);
         assert_eq!(a.json, None);
     }
 
@@ -104,7 +85,7 @@ mod tests {
         let a =
             RunnerArgs::parse(&strs(&["250000", "--jobs", "4", "--json", "o.json"]), 7).unwrap();
         assert_eq!(a.instructions, 250_000);
-        assert_eq!(a.jobs, 4);
+        assert_eq!(a.jobs, Some(4));
         assert_eq!(a.json.as_deref(), Some("o.json"));
     }
 
@@ -112,13 +93,13 @@ mod tests {
     fn flags_may_precede_the_positional() {
         let a = RunnerArgs::parse(&strs(&["--jobs", "2", "123"]), 7).unwrap();
         assert_eq!(a.instructions, 123);
-        assert_eq!(a.jobs, 2);
+        assert_eq!(a.jobs, Some(2));
     }
 
     #[test]
     fn jobs_zero_clamps_to_one() {
         let a = RunnerArgs::parse(&strs(&["--jobs", "0"]), 7).unwrap();
-        assert_eq!(a.jobs, 1);
+        assert_eq!(a.jobs, Some(1));
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub fn run_benchmark(
 
 /// Like [`run_benchmark`] but enables span capture for the measurement
 /// region and hands back the system so callers can export its tracer,
-/// cycle breakdown, and hierarchy statistics (the `debug_one` flow).
+/// cycle breakdown, and hierarchy statistics (the `secpb debug` flow).
 pub fn run_benchmark_instrumented(
     profile: &WorkloadProfile,
     scheme: Scheme,
@@ -356,7 +356,7 @@ pub fn table4(instructions: u64, jobs: usize) -> SlowdownStudy {
 }
 
 impl SlowdownStudy {
-    /// JSON dump (the bins' `--json` payload).
+    /// JSON dump (the `--json` payload of `secpb reproduce`).
     pub fn to_json(&self) -> Json {
         let rows = self.rows.iter().map(|r| {
             let slowdowns = self

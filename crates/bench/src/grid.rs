@@ -1,53 +1,65 @@
-//! Grid-scale wall-clock benchmark of the parallel experiment engine.
+//! Grid-scale wall-clock benchmark of the parallel experiment engine
+//! (`secpb grid`).
 //!
 //! Runs the same scheme×workload grid serially (timing each cell) and
-//! with `--jobs N` workers, verifies the two result sets are
-//! **identical** (the engine's determinism contract), and reports
-//! wall-clock speedup plus per-cell simulated instructions per second
-//! and host nanoseconds per simulated store.  Both passes do the same
-//! work: every cell is run and then crash-tested (power loss, full
-//! drain, verified recovery), and both the results and the recovery
-//! verdicts must match.
+//! with `jobs` workers, verifies the two result sets are **identical**
+//! (the engine's determinism contract), and reports wall-clock speedup
+//! plus per-cell simulated instructions per second and host nanoseconds
+//! per simulated store.  Both passes do the same work: every cell is
+//! run and then crash-tested (power loss, full drain, verified
+//! recovery), and both the results and the recovery verdicts must match.
 //!
-//! Usage:
-//! `cargo run --release -p secpb-bench --bin bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] [--telemetry] [--validate-parallel] [--update-baseline]`
+//! The smoke grid is 2 workloads × 2 schemes (the CI determinism gate);
+//! the full grid is the Table IV workload suite × all SecPB schemes.
+//! The report's `crypto_backend` names the kernel the host's runtime ISA
+//! detection picked.
 //!
-//! `--smoke` shrinks the grid to 2 workloads × 2 schemes (the CI
-//! determinism gate); the default grid is the full Table IV workload
-//! suite × all SecPB schemes.  The report's `crypto_backend` names the
-//! kernel the host's runtime ISA detection picked.  Exits nonzero if
-//! parallel results diverge from serial.
-//!
-//! `--telemetry` attaches a live telemetry ring to every serial cell.
+//! With telemetry, a live ring is attached to every serial cell.
 //! Because events observe and never steer, the determinism gate then
 //! proves something stronger: the telemetered serial grid must still be
 //! identical to the plain parallel grid, i.e. watching a cell costs
 //! nothing in fidelity.  The report gains ring accounting
 //! (`telemetry_events`, `telemetry_dropped`).
 //!
-//! The JSON report lands in the temp directory by default so routine
-//! runs never dirty the working tree; `--update-baseline` writes the
-//! checked-in `BENCH_grid.json` instead, and `--json <path>` overrides
-//! both.
-//!
 //! On a single-core host the parallel pass still runs (it is the
 //! determinism check), but its wall-clock time says nothing about the
 //! engine, so `speedup` is reported as `null` and
-//! `parallel_timing_valid` as `false` rather than shipping a
-//! misleading sub-1x figure.  `--validate-parallel` makes that posture
-//! explicit for 1-core CI: it pins the parallel pass to 2 workers and
-//! records `parallel_determinism_validated: true` in the report —
-//! determinism is validated even where timing isn't.
+//! `parallel_timing_valid` as `false` rather than shipping a misleading
+//! sub-1x figure.  `validate_parallel` makes that posture explicit for
+//! 1-core CI: it pins the parallel pass to 2 workers and records
+//! `parallel_determinism_validated: true` in the report — determinism is
+//! validated even where timing isn't.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
-use secpb_bench::experiments::{GridCell, TelemetryDigest};
 use secpb_core::metrics::counters;
 use secpb_core::scheme::Scheme;
 use secpb_crypto::backend::CryptoBackend;
 use secpb_sim::json::Json;
 use secpb_sim::pool;
 use secpb_workloads::WorkloadProfile;
+
+use crate::experiments::{GridCell, TelemetryDigest};
+use crate::recovery_sweep::{run_sweep, SweepConfig};
+use crate::report::Rendered;
+
+/// What one grid benchmark runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GridConfig {
+    /// Measurement-region instruction budget per cell.
+    pub instructions: u64,
+    /// Workers for the parallel pass; `None` (or 1) means the machine's
+    /// available parallelism, at least 2.
+    pub jobs: Option<usize>,
+    /// The 2×2 CI grid instead of the full one.
+    pub smoke: bool,
+    /// Attach a live telemetry ring to every serial cell.
+    pub telemetry: bool,
+    /// Pin the parallel pass to 2 workers and report it as a
+    /// determinism check only.
+    pub validate_parallel: bool,
+}
 
 fn build_grid(smoke: bool, instructions: u64) -> Vec<GridCell> {
     let (profiles, schemes): (Vec<WorkloadProfile>, Vec<Scheme>) = if smoke {
@@ -76,50 +88,40 @@ fn build_grid(smoke: bool, instructions: u64) -> Vec<GridCell> {
         .collect()
 }
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    raw.retain(|a| a != "--smoke");
-    let update_baseline = raw.iter().any(|a| a == "--update-baseline");
-    raw.retain(|a| a != "--update-baseline");
-    let telemetry = raw.iter().any(|a| a == "--telemetry");
-    raw.retain(|a| a != "--telemetry");
-    let validate_parallel = raw.iter().any(|a| a == "--validate-parallel");
-    raw.retain(|a| a != "--validate-parallel");
-    let args = match secpb_bench::args::RunnerArgs::parse(&raw, 200_000) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] \
-                 [--telemetry] [--validate-parallel] [--update-baseline]"
-            );
-            std::process::exit(2);
-        }
+/// Times the grid serially and in parallel and renders the report.
+///
+/// # Errors
+///
+/// Fails outright when the parallel results diverge from the serial
+/// ones.  Recovery failures and a non-monotone recovery curve are gate
+/// failures on a complete report.
+pub fn run_grid_bench(cfg: &GridConfig) -> Result<Rendered, String> {
+    let GridConfig {
+        instructions,
+        smoke,
+        telemetry,
+        validate_parallel,
+        ..
+    } = *cfg;
+    let jobs = match cfg.jobs {
+        _ if validate_parallel => 2,
+        Some(j) if j > 1 => j,
+        _ => pool::default_jobs().max(2),
     };
-    // --validate-parallel pins the worker count to 2: the mode exists so
-    // 1-core hosts can still prove the serial/parallel byte-identity
-    // contract even though their parallel timing is meaningless.
-    let jobs = if validate_parallel {
-        2
-    } else if args.jobs > 1 {
-        args.jobs
-    } else {
-        pool::default_jobs().max(2)
-    };
-
     let cores = pool::default_jobs();
     let parallel_timing_valid = cores >= 2 && !validate_parallel;
     let backend = CryptoBackend::auto().name();
-    let cells = build_grid(smoke, args.instructions);
-    eprintln!(
-        "grid: {} cells ({}) @ {} instructions, {backend} crypto kernel, serial vs {jobs} jobs on {cores} core(s)",
+    let cells = build_grid(smoke, instructions);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "grid: {} cells ({}) @ {instructions} instructions, {backend} crypto kernel, serial vs {jobs} jobs on {cores} core(s)",
         cells.len(),
         if smoke { "smoke" } else { "full" },
-        args.instructions,
     );
     if !parallel_timing_valid {
-        eprintln!(
+        let _ = writeln!(
+            out,
             "note: parallel pass is determinism-check only ({}); speedup not reported",
             if validate_parallel {
                 "--validate-parallel"
@@ -163,18 +165,13 @@ fn main() {
     let parallel_s = t1.elapsed().as_secs_f64();
 
     if serial != parallel {
-        if telemetry {
-            eprintln!(
-                "DETERMINISM VIOLATION: telemetered serial grid differs from plain parallel \
-                 (events must observe, never steer)"
-            );
+        return Err(if telemetry {
+            "DETERMINISM VIOLATION: telemetered serial grid differs from plain parallel \
+             (events must observe, never steer)"
         } else {
-            eprintln!(
-                "DETERMINISM VIOLATION: parallel grid results or recovery verdicts differ \
-                 from serial"
-            );
+            "DETERMINISM VIOLATION: parallel grid results or recovery verdicts differ from serial"
         }
-        std::process::exit(1);
+        .to_owned());
     }
 
     let speedup = serial_s / parallel_s;
@@ -190,17 +187,27 @@ fn main() {
         .sum();
     let serial_ns_per_store = serial_s * 1e9 / total_stores.max(1) as f64;
 
-    println!("cells                 {}", cells.len());
-    println!("crypto kernel         {backend}");
-    println!("serial                {serial_s:.3} s ({serial_ips:.0} instr/s)");
-    println!("serial ns/store       {serial_ns_per_store:.1}");
+    let _ = writeln!(out, "cells                 {}", cells.len());
+    let _ = writeln!(out, "crypto kernel         {backend}");
+    let _ = writeln!(
+        out,
+        "serial                {serial_s:.3} s ({serial_ips:.0} instr/s)"
+    );
+    let _ = writeln!(out, "serial ns/store       {serial_ns_per_store:.1}");
     if parallel_timing_valid {
-        println!("parallel ({jobs} jobs)     {parallel_s:.3} s ({parallel_ips:.0} instr/s)");
-        println!("speedup               {speedup:.2}x");
+        let _ = writeln!(
+            out,
+            "parallel ({jobs} jobs)     {parallel_s:.3} s ({parallel_ips:.0} instr/s)"
+        );
+        let _ = writeln!(out, "speedup               {speedup:.2}x");
     } else {
-        println!("parallel ({jobs} jobs)     n/a (determinism check only)");
+        let _ = writeln!(
+            out,
+            "parallel ({jobs} jobs)     n/a (determinism check only)"
+        );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "determinism           parallel == serial{} ({} cells)",
         if telemetry { " (telemetered)" } else { "" },
         cells.len()
@@ -208,7 +215,10 @@ fn main() {
     let telemetry_events: u64 = digests.iter().map(|d| d.events).sum();
     let telemetry_dropped: u64 = digests.iter().map(|d| d.dropped).sum();
     if telemetry {
-        println!("telemetry             {telemetry_events} events, {telemetry_dropped} dropped");
+        let _ = writeln!(
+            out,
+            "telemetry             {telemetry_events} events, {telemetry_dropped} dropped"
+        );
     }
 
     let recovery_failures: Vec<String> = cells
@@ -224,34 +234,33 @@ fn main() {
     let recovery_blocks: u64 = serial.iter().map(|(_, c)| c.blocks_checked).sum();
     let recovery_cycles_total: u64 = serial.iter().map(|(_, c)| c.recovery_cycles).sum();
     if recovery_failures.is_empty() {
-        println!(
+        let _ = writeln!(
+            out,
             "recovery              all {} cells consistent ({recovery_blocks} blocks verified, \
              {recovery_cycles_total} est. sweep cycles)",
             cells.len()
         );
-    } else {
-        for f in &recovery_failures {
-            eprintln!("RECOVERY FAILURE: {f}");
-        }
+    }
+    for f in &recovery_failures {
+        let _ = writeln!(out, "RECOVERY FAILURE: {f}");
     }
 
     // The recovery curve rides along in every grid report: the same
     // instruction budget swept across persistence policies, so the
     // write-amp vs recovery-latency trade-off is versioned next to the
     // timing it trades against.
-    let sweep_cfg = {
-        let mut c = secpb_bench::recovery_sweep::SweepConfig::new(0x5EC9_B0A2);
-        c.instructions = args.instructions;
-        c
-    };
-    let curve = secpb_bench::recovery_sweep::run_sweep(&sweep_cfg);
+    let curve = run_sweep(&SweepConfig {
+        instructions,
+        ..SweepConfig::new(0x5EC9_B0A2)
+    });
     if curve.passed() {
-        println!(
+        let _ = writeln!(
+            out,
             "recovery curve        {} points monotone (fastrec <= triad <= eager-ish <= lazy)",
             curve.points.len()
         );
     } else {
-        eprint!("RECOVERY CURVE FAILURE:\n{}", curve.render_text());
+        let _ = write!(out, "RECOVERY CURVE FAILURE:\n{}", curve.render_text());
     }
 
     let per_cell = cells
@@ -277,41 +286,27 @@ fn main() {
                     },
                 )
         });
+    let timing = |v: f64| {
+        if parallel_timing_valid {
+            Json::from(v)
+        } else {
+            Json::Null
+        }
+    };
     let payload = Json::obj()
         .field("grid", if smoke { "smoke" } else { "full" })
         .field("cells", cells.len())
-        .field("instructions_per_cell", args.instructions)
+        .field("instructions_per_cell", instructions)
         .field("crypto_backend", backend)
         .field("jobs", jobs)
         .field("host_cores", cores)
         .field("serial_seconds", serial_s)
-        .field(
-            "parallel_seconds",
-            if parallel_timing_valid {
-                Json::from(parallel_s)
-            } else {
-                Json::Null
-            },
-        )
-        .field(
-            "speedup",
-            if parallel_timing_valid {
-                Json::from(speedup)
-            } else {
-                Json::Null
-            },
-        )
+        .field("parallel_seconds", timing(parallel_s))
+        .field("speedup", timing(speedup))
         .field("parallel_timing_valid", parallel_timing_valid)
         .field("parallel_determinism_validated", true)
         .field("serial_instructions_per_second", serial_ips)
-        .field(
-            "parallel_instructions_per_second",
-            if parallel_timing_valid {
-                Json::from(parallel_ips)
-            } else {
-                Json::Null
-            },
-        )
+        .field("parallel_instructions_per_second", timing(parallel_ips))
         .field("serial_ns_per_store", serial_ns_per_store)
         .field("deterministic", true)
         .field("recovery_ok", recovery_failures.is_empty())
@@ -322,27 +317,19 @@ fn main() {
         .field("telemetry_dropped", telemetry_dropped)
         .field("recovery_curve", curve.to_json())
         .field("results", Json::Arr(per_cell.collect()));
-    // Routine runs must not dirty the working tree: the checked-in
-    // baseline is only touched when explicitly asked for.
-    let path = match args.json.as_deref() {
-        Some(p) => p.to_owned(),
-        None if update_baseline => "BENCH_grid.json".to_owned(),
-        None => std::env::temp_dir()
-            .join("BENCH_grid.json")
-            .to_string_lossy()
-            .into_owned(),
-    };
-    std::fs::write(&path, payload.to_pretty()).expect("write json");
-    eprintln!("wrote {path}");
-    if !recovery_failures.is_empty() {
-        eprintln!(
-            "bench_grid: {} cell(s) failed recovery checks",
+    let failure = if !recovery_failures.is_empty() {
+        Some(format!(
+            "grid: {} cell(s) failed recovery checks",
             recovery_failures.len()
-        );
-        std::process::exit(1);
-    }
-    if !curve.passed() {
-        eprintln!("bench_grid: recovery curve failed (ordering or consistency)");
-        std::process::exit(1);
-    }
+        ))
+    } else if !curve.passed() {
+        Some("grid: recovery curve failed (ordering or consistency)".to_owned())
+    } else {
+        None
+    };
+    Ok(Rendered {
+        text: out,
+        json: Some(payload),
+        failure,
+    })
 }

@@ -1,9 +1,45 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the `secpb` commands.
 //!
 //! Every regenerator prints rows shaped like the paper's tables; these
 //! helpers keep the columns aligned without pulling in a table crate.
 
 use std::fmt::Write as _;
+
+use secpb_sim::json::Json;
+
+/// One harness run, rendered for the command line: the text it prints,
+/// the JSON payload it can save, and why its gate failed, if it did.
+#[derive(Debug, Clone, Default)]
+pub struct Rendered {
+    /// Human-readable report.
+    pub text: String,
+    /// Machine-readable payload, for harnesses that have one.
+    pub json: Option<Json>,
+    /// Gate failure; `text` and `json` are still complete so the caller
+    /// can save them before reporting it.
+    pub failure: Option<String>,
+}
+
+impl From<String> for Rendered {
+    /// A passing run with text only.
+    fn from(text: String) -> Self {
+        Rendered {
+            text,
+            ..Rendered::default()
+        }
+    }
+}
+
+impl Rendered {
+    /// A passing run with a JSON payload.
+    pub fn with_json(text: String, json: Json) -> Self {
+        Rendered {
+            text,
+            json: Some(json),
+            failure: None,
+        }
+    }
+}
 
 /// Renders a table with a header row and aligned columns.
 ///

@@ -495,6 +495,23 @@ impl ServeConfig {
         cfg
     }
 
+    /// Adds `count` synthetic tenants of `instructions` each, cycling
+    /// over the SPEC suite and the gold/silver/bronze classes.
+    pub fn with_synthetic_tenants(mut self, count: usize, instructions: u64) -> Self {
+        let suite = WorkloadProfile::spec_suite();
+        let classes = [QosClass::Gold, QosClass::Silver, QosClass::Bronze];
+        let token = PrivilegeToken::acquire();
+        for i in 0..count {
+            let profile = suite[i % suite.len()].clone();
+            let name = format!("t{i}-{}", profile.name);
+            self.tenants
+                .push(TenantSpec::synthetic(&name, profile, instructions));
+            self.set_qos(&name, classes[i % classes.len()], &token)
+                .expect("tenant just added");
+        }
+        self
+    }
+
     /// Adds a tenant (with the default QoS class).
     pub fn with_tenant(mut self, tenant: TenantSpec) -> Self {
         self.tenants.push(tenant);

@@ -37,6 +37,8 @@ use secpb_sim::json::Json;
 use secpb_sim::trace::{TraceItem, TraceSummary};
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
+use crate::report::Rendered;
+
 /// The energy-model view of a scheme, for brown-out budget conversion.
 /// `Sp` persists the full tuple per store like `NoGap`, so it shares
 /// NoGap's per-entry footprint (it never buffers entries anyway).
@@ -744,6 +746,56 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         ));
     }
     report
+}
+
+/// The storm gate `secpb storm` runs: [`run_storm`] with a fully
+/// provisioned battery, then again under a brown-out battery budgeted at
+/// `brown_out` of the provisioned worst case.  Renders each pass as its
+/// text table, or with `json` as its JSON document, then one summary
+/// line.  The gate fails if either pass fails or the brown-out pass
+/// loses no entries.
+pub fn run_storm_gate(base: &StormConfig, brown_out: f64, json: bool) -> Rendered {
+    let passes = [
+        ("storm", run_storm(base)),
+        (
+            "brown-out",
+            run_storm(&base.clone().with_brown_out(brown_out)),
+        ),
+    ];
+    let mut text = String::new();
+    let mut failures = 0;
+    for (name, report) in &passes {
+        if json {
+            text.push_str(&report.to_json().to_pretty());
+            text.push('\n');
+        } else {
+            text.push_str(&format!("=== {name} pass ===\n{}", report.render_text()));
+        }
+        failures += u32::from(!report.passed());
+    }
+    let [(_, storm), (_, brown)] = &passes;
+    if brown.total_lost() == 0 {
+        text.push_str(&format!(
+            "FAIL brown-out: no entries lost under a {brown_out} battery budget\n"
+        ));
+        failures += 1;
+    }
+    let failure =
+        (failures > 0).then(|| format!("fault storm: FAILED ({failures} failing check(s))"));
+    if failure.is_none() {
+        text.push_str(&format!(
+            "fault storm: PASS — {} crashes, {} flips all detected, \
+             {} brown-out losses all accounted\n",
+            storm.total_crashes() + brown.total_crashes(),
+            storm.total_flips() + brown.total_flips(),
+            storm.total_lost() + brown.total_lost(),
+        ));
+    }
+    Rendered {
+        text,
+        json: None,
+        failure,
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! A small, dependency-free JSON layer.
 //!
 //! The repo builds in hermetic environments with no access to crates.io,
-//! so the exporters (Chrome traces, `--stats-json` dumps, the bench
-//! binaries' `--json` flags) serialize through this module instead of
+//! so the exporters (Chrome traces, `--stats-json` dumps, the `secpb`
+//! commands' `--json` flags) serialize through this module instead of
 //! `serde_json`.  [`Json`] is an ordered JSON value: object keys keep
 //! insertion order, so a given builder sequence always produces the same
 //! bytes — the property the observability determinism tests rely on.

@@ -1,5 +1,6 @@
 //! The `secpb` command-line tool: simulate, crash, recover, size
-//! batteries, and manage traces.  Run with no arguments for usage.
+//! batteries, manage traces, reproduce the paper's tables and figures,
+//! and run the CI gates.  Run with no arguments for usage.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -7,14 +7,17 @@
 //! ```text
 //! secpb run <bench> <scheme> [entries] [instructions] [--front F]   simulate + metrics
 //! secpb watch <bench> <scheme> [instructions] [--front F] [...]  stream health snapshots
-//! secpb grid [instructions] [--jobs N]                  scheme×workload grid (Table IV)
 //! secpb crash <bench> <scheme> [instructions] [--front F]  crash + verified recovery
-//! secpb storm [--quick] [--seed N] [--brown-out F]      crash-storm fault injection
-//! secpb battery [entries]                               battery sizing table
+//! secpb reproduce <artifact> [instructions] [--jobs N] [--json FILE]  a paper table/figure
+//! secpb grid [instructions] [--jobs N] [--smoke] [...]  grid wall-clock + determinism gate
+//! secpb storm [--quick] [--seed N] [--brown-out F] [--json]  crash-storm fault injection
+//! secpb battery [entries]                               battery sizing table (Table V)
+//! secpb debug <bench> [instructions] [...]              per-scheme counters + cycle breakdown
 //! secpb trace gen <bench> <file> [instructions]         save a trace
 //! secpb trace info <file>                               trace statistics
 //! secpb trace run <file> <scheme>                       replay a saved trace
 //! secpb serve [--quick] [--shards N] [...]              sharded multi-tenant service
+//! secpb serve-bench [instructions] [--smoke] [...]      service scaling + determinism gate
 //! secpb soak [--quick] [--seed N]                       fault-tolerance soak storm
 //! secpb recover-sweep [--quick] [...]                   recovery-latency vs write-amp curve
 //! secpb schemes                                         scheme/front/policy table
@@ -27,18 +30,26 @@
 //! is driven through the
 //! [`PersistSystem`](secpb_core::facade::PersistSystem) facade, so
 //! `run` and `crash` are written once.
+//!
+//! `grid` and `serve-bench` always write their JSON report: to `--json
+//! FILE` if given, else to the checked-in `BENCH_grid.json` /
+//! `BENCH_serve.json` with `--update-baseline`, else to the temp
+//! directory so routine runs never dirty the working tree.
 
 use std::fmt::Write as _;
 
-use secpb_bench::experiments;
-use secpb_bench::storm::{build_front, StormFront};
+use secpb_bench::args::RunnerArgs;
+use secpb_bench::grid::{run_grid_bench, GridConfig};
+use secpb_bench::report::Rendered;
+use secpb_bench::reproduce;
+use secpb_bench::serve_bench::{run_serve_bench, ServeBenchConfig};
+use secpb_bench::storm::{build_front, run_storm_gate, StormConfig, StormFront};
 use secpb_bench::watch::{run_watch, WatchConfig};
 use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
-use secpb_energy::battery::BatteryTech;
-use secpb_energy::drain::{secpb_drain_energy, SchemeKind};
 use secpb_sim::config::SystemConfig;
+use secpb_sim::pool;
 use secpb_sim::telemetry::ChromeTraceStream;
 use secpb_sim::trace::TraceSummary;
 use secpb_workloads::trace_io;
@@ -49,42 +60,108 @@ pub const USAGE: &str = "usage:
   secpb run <bench> <scheme> [entries] [instructions] [--front secpb|eadr|mc<N>]
   secpb watch <bench> <scheme> [instructions] [--front secpb|eadr|mc<N>] [--interval N]
               [--out FILE] [--trace-out FILE] [--crash-every N] [--quick]
-  secpb grid [instructions] [--jobs N]
   secpb crash <bench> <scheme> [instructions] [--front secpb|eadr|mc<N>]
-  secpb storm [--quick] [--seed N] [--brown-out F]
+  secpb reproduce <artifact> [instructions] [--jobs N] [--json FILE]
+  secpb grid [instructions] [--jobs N] [--json FILE] [--smoke] [--telemetry]
+             [--validate-parallel] [--update-baseline]
+  secpb storm [--quick] [--seed N] [--brown-out F] [--json]
   secpb battery [entries]
+  secpb debug <bench> [instructions] [--trace-out FILE] [--stats-json FILE]
   secpb trace gen <bench> <file> [instructions]
   secpb trace info <file>
   secpb trace run <file> <scheme>
   secpb serve [--quick] [--shards N] [--workers N] [--tenants N] [--instructions N]
               [--epoch N] [--seed N] [--trace NAME=PATH]...
+  secpb serve-bench [instructions] [--smoke] [--tenants N] [--epoch N]
+                    [--trace NAME=PATH]... [--json FILE] [--update-baseline]
   secpb soak [--quick] [--seed N]
   secpb recover-sweep [--quick] [--instructions N] [--seed N] [--json FILE]
   secpb schemes
   secpb list
 
+artifacts: table4, fig6, table5, table6, fig7, fig8, fig9, validate-ipc, ablations,
+           characterize (table5 and table6 are analytic and ignore instructions)
 fronts: secpb, eadr, mc<N>, triad<N>, fastrec";
 
 /// Executes one CLI invocation (argv without the program name).
 ///
 /// # Errors
 ///
-/// Returns a usage/diagnostic message on bad arguments or I/O failure.
+/// Returns a usage/diagnostic message on bad arguments, I/O failure, or
+/// a failed gate.
 pub fn dispatch(args: &[String]) -> Result<String, String> {
+    let rest = args.get(1..).unwrap_or_default().to_vec();
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("grid") => cmd_grid(&args[1..]),
-        Some("crash") => cmd_crash(&args[1..]),
-        Some("storm") => cmd_storm(&args[1..]),
-        Some("battery") => cmd_battery(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("soak") => cmd_soak(&args[1..]),
-        Some("recover-sweep") => cmd_recover_sweep(&args[1..]),
+        Some("run") => cmd_run(&rest),
+        Some("watch") => cmd_watch(rest),
+        Some("crash") => cmd_crash(&rest),
+        Some("reproduce") => cmd_reproduce(&rest),
+        Some("grid") => cmd_grid(rest),
+        Some("storm") => cmd_storm(rest),
+        Some("battery") => cmd_battery(&rest),
+        Some("debug") => cmd_debug(rest),
+        Some("trace") => cmd_trace(&rest),
+        Some("serve") => cmd_serve(rest),
+        Some("serve-bench") => cmd_serve_bench(rest),
+        Some("soak") => cmd_soak(rest),
+        Some("recover-sweep") => cmd_recover_sweep(rest),
         Some("schemes") => Ok(cmd_schemes()),
         Some("list") => Ok(cmd_list()),
         _ => Err(USAGE.to_owned()),
+    }
+}
+
+/// Appends the usage text to an argument error.
+fn usage(err: impl std::fmt::Display) -> String {
+    format!("{err}\n{USAGE}")
+}
+
+/// Writes `contents` to `path`, noting the file on stderr.
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// Saves a rendered run's JSON payload to `json_path` (when both exist)
+/// and turns a gate failure into an error carrying the report.
+fn finish(run: Rendered, json_path: Option<&str>) -> Result<String, String> {
+    if let (Some(path), Some(json)) = (json_path, &run.json) {
+        write_file(path, &json.to_pretty())?;
+    }
+    match run.failure {
+        Some(why) => Err(format!("{}{why}", run.text)),
+        None => Ok(run.text),
+    }
+}
+
+/// Where `grid` and `serve-bench` write their report (see the module
+/// docs).
+fn report_path(json: Option<String>, update_baseline: bool, baseline: &str) -> String {
+    json.unwrap_or_else(|| {
+        if update_baseline {
+            baseline.to_owned()
+        } else {
+            std::env::temp_dir()
+                .join(baseline)
+                .to_string_lossy()
+                .into_owned()
+        }
+    })
+}
+
+/// Removes every `flag` from `args`, returning whether it was present.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
+/// Fails on the first argument no flag parser consumed.
+fn reject_strays(args: &[String], command: &str) -> Result<(), String> {
+    match args.first() {
+        Some(stray) => Err(usage(format!("unknown {command} argument `{stray}`"))),
+        None => Ok(()),
     }
 }
 
@@ -204,10 +281,9 @@ fn take_path_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, 
     }
 }
 
-fn cmd_watch(args: &[String]) -> Result<String, String> {
-    let (front, mut args) = take_front(args)?;
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
+fn cmd_watch(args: Vec<String>) -> Result<String, String> {
+    let (front, mut args) = take_front(&args)?;
+    let quick = take_flag(&mut args, "--quick");
     let interval = take_numeric_flag::<u64>(&mut args, "--interval")?;
     let crash_every = take_numeric_flag::<u64>(&mut args, "--crash-every")?;
     let out_path = take_path_flag(&mut args, "--out")?;
@@ -288,22 +364,6 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_grid(args: &[String]) -> Result<String, String> {
-    let parsed =
-        secpb_bench::args::RunnerArgs::parse(args, 100_000).map_err(|e| format!("{e}\n{USAGE}"))?;
-    let study = experiments::table4(parsed.instructions, parsed.jobs);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "scheme×workload grid @ {} instructions, {} jobs (slowdown vs bbb, geomean)",
-        parsed.instructions, parsed.jobs
-    );
-    for (scheme, v) in &study.averages {
-        let _ = writeln!(out, " {:<6} {v:.3}", scheme.name());
-    }
-    Ok(out)
-}
-
 fn cmd_crash(args: &[String]) -> Result<String, String> {
     let (front, args) = take_front(args)?;
     let bench = args.first().ok_or(USAGE)?;
@@ -344,74 +404,92 @@ fn cmd_crash(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_storm(args: &[String]) -> Result<String, String> {
-    let mut quick = false;
-    let mut seed: u64 = 0x5EC9_B0A2;
-    let mut brown_out: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed takes a number")?;
-            }
-            "--brown-out" => {
-                i += 1;
-                let f: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--brown-out takes a fraction in (0, 1]")?;
-                if !(0.0..=1.0).contains(&f) || f == 0.0 {
-                    return Err("--brown-out takes a fraction in (0, 1]".to_owned());
-                }
-                brown_out = Some(f);
-            }
-            other => return Err(format!("unknown storm flag `{other}`\n{USAGE}")),
-        }
-        i += 1;
+fn cmd_reproduce(args: &[String]) -> Result<String, String> {
+    let (name, rest) = args.split_first().ok_or(USAGE)?;
+    let artifact = reproduce::find(name).map_err(usage)?;
+    let parsed = RunnerArgs::parse(rest, artifact.default_instructions).map_err(usage)?;
+    if parsed.json.is_some() && !artifact.has_json {
+        return Err(usage(format!("reproduce {name} has no JSON payload")));
     }
-    let mut cfg = if quick {
-        secpb_bench::storm::StormConfig::quick(seed)
+    let jobs = parsed.jobs.unwrap_or_else(pool::default_jobs);
+    if artifact.default_instructions > 0 {
+        eprintln!(
+            "{name} @ {} instructions/benchmark, {jobs} jobs",
+            parsed.instructions
+        );
+    }
+    finish(
+        (artifact.run)(parsed.instructions, jobs),
+        parsed.json.as_deref(),
+    )
+}
+
+fn cmd_grid(mut args: Vec<String>) -> Result<String, String> {
+    let smoke = take_flag(&mut args, "--smoke");
+    let telemetry = take_flag(&mut args, "--telemetry");
+    let validate_parallel = take_flag(&mut args, "--validate-parallel");
+    let update_baseline = take_flag(&mut args, "--update-baseline");
+    let parsed = RunnerArgs::parse(&args, 200_000).map_err(usage)?;
+    let report = run_grid_bench(&GridConfig {
+        instructions: parsed.instructions,
+        jobs: parsed.jobs,
+        smoke,
+        telemetry,
+        validate_parallel,
+    })?;
+    let path = report_path(parsed.json, update_baseline, "BENCH_grid.json");
+    finish(report, Some(&path))
+}
+
+fn cmd_storm(mut args: Vec<String>) -> Result<String, String> {
+    let quick = take_flag(&mut args, "--quick");
+    let json = take_flag(&mut args, "--json");
+    let seed = take_numeric_flag::<u64>(&mut args, "--seed")?.unwrap_or(0x5EC9_B0A2);
+    let brown_out = take_numeric_flag::<f64>(&mut args, "--brown-out")?.unwrap_or(0.25);
+    if !(brown_out > 0.0 && brown_out <= 1.0) {
+        return Err(usage("--brown-out takes a fraction in (0, 1]"));
+    }
+    reject_strays(&args, "storm")?;
+    let cfg = if quick {
+        StormConfig::quick(seed)
     } else {
-        secpb_bench::storm::StormConfig::full(seed)
+        StormConfig::full(seed)
     };
-    if let Some(f) = brown_out {
-        cfg = cfg.with_brown_out(f);
-    }
-    let report = secpb_bench::storm::run_storm(&cfg);
-    let text = report.render_text();
-    if report.passed() {
-        Ok(text)
-    } else {
-        Err(format!("fault storm failed:\n{text}"))
-    }
+    finish(run_storm_gate(&cfg, brown_out, json), None)
 }
 
 fn cmd_battery(args: &[String]) -> Result<String, String> {
-    let entries: usize = args
-        .first()
-        .map(|s| s.parse().map_err(|_| USAGE))
-        .transpose()?
-        .unwrap_or(32);
-    let mut out = String::new();
-    let _ = writeln!(out, "battery sizing for a {entries}-entry SecPB:");
-    for kind in SchemeKind::ALL {
-        let joules = secpb_drain_energy(kind, entries);
-        let _ = writeln!(
-            out,
-            " {:<6} {:>10.2} uJ  SuperCap {:>8.3} mm3 ({:>5.1}% core)  Li-Thin {:>7.4} mm3",
-            kind.name(),
-            joules * 1e6,
-            BatteryTech::SuperCap.volume_mm3(joules),
-            BatteryTech::SuperCap.core_area_ratio_pct(joules),
-            BatteryTech::LiThin.volume_mm3(joules),
-        );
+    let entries = match args {
+        [] => 32,
+        [n] => n
+            .parse()
+            .map_err(|_| usage(format!("bad entry count `{n}`")))?,
+        [_, stray, ..] => return Err(usage(format!("unknown battery argument `{stray}`"))),
+    };
+    finish(reproduce::battery(entries), None)
+}
+
+fn cmd_debug(mut args: Vec<String>) -> Result<String, String> {
+    let trace_out = take_path_flag(&mut args, "--trace-out")?;
+    let stats_json = take_path_flag(&mut args, "--stats-json")?;
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(usage(format!("unknown debug argument `{flag}`")));
     }
-    Ok(out)
+    let (profile, instructions) = match args.as_slice() {
+        [bench] => (parse_profile(bench)?, 300_000),
+        [bench, n] => (
+            parse_profile(bench)?,
+            n.parse()
+                .map_err(|_| usage(format!("bad instruction count `{n}`")))?,
+        ),
+        [] => return Err(USAGE.to_owned()),
+        [_, _, stray, ..] => return Err(usage(format!("unknown debug argument `{stray}`"))),
+    };
+    let (report, trace) = reproduce::debug(&profile, instructions, trace_out.is_some());
+    if let (Some(path), Some(trace)) = (&trace_out, trace) {
+        write_file(path, &trace.to_pretty())?;
+    }
+    finish(report, stats_json.as_deref())
 }
 
 fn cmd_trace(args: &[String]) -> Result<String, String> {
@@ -466,47 +544,52 @@ fn cmd_trace(args: &[String]) -> Result<String, String> {
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<String, String> {
-    use secpb_bench::serve::{run_serve, PrivilegeToken, QosClass, ServeConfig, TenantSpec};
+/// The tenant-population flags `serve` and `serve-bench` share.
+struct TenantFlags {
+    /// `--tenants N`: synthetic tenant count.
+    count: Option<usize>,
+    /// `--epoch N`: nominal epoch length in trace items.
+    epoch: Option<usize>,
+    /// Repeated `--trace NAME=PATH`: tenants replaying `SPB1` files.
+    files: Vec<(String, String)>,
+}
 
-    let mut args = args.to_vec();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
-    let shards = take_numeric_flag::<usize>(&mut args, "--shards")?;
-    let workers = take_numeric_flag::<usize>(&mut args, "--workers")?;
-    let tenant_count = take_numeric_flag::<usize>(&mut args, "--tenants")?;
-    let instructions = take_numeric_flag::<u64>(&mut args, "--instructions")?;
-    let epoch = take_numeric_flag::<usize>(&mut args, "--epoch")?;
-    let seed = take_numeric_flag::<u64>(&mut args, "--seed")?;
-    let mut file_tenants: Vec<(String, String)> = Vec::new();
-    while let Some(spec) = take_path_flag(&mut args, "--trace")? {
+fn take_tenant_flags(args: &mut Vec<String>) -> Result<TenantFlags, String> {
+    let count = take_numeric_flag::<usize>(args, "--tenants")?;
+    let epoch = take_numeric_flag::<usize>(args, "--epoch")?;
+    let mut files = Vec::new();
+    while let Some(spec) = take_path_flag(args, "--trace")? {
         let (name, path) = spec
             .split_once('=')
             .ok_or("--trace takes NAME=PATH (a tenant name and an SPB1 trace file)")?;
-        file_tenants.push((name.to_owned(), path.to_owned()));
+        files.push((name.to_owned(), path.to_owned()));
     }
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown serve argument `{stray}`\n{USAGE}"));
-    }
+    Ok(TenantFlags {
+        count,
+        epoch,
+        files,
+    })
+}
+
+fn cmd_serve(mut args: Vec<String>) -> Result<String, String> {
+    use secpb_bench::serve::{run_serve, ServeConfig, TenantSpec};
+
+    let quick = take_flag(&mut args, "--quick");
+    let shards = take_numeric_flag::<usize>(&mut args, "--shards")?;
+    let workers = take_numeric_flag::<usize>(&mut args, "--workers")?;
+    let instructions = take_numeric_flag::<u64>(&mut args, "--instructions")?;
+    let seed = take_numeric_flag::<u64>(&mut args, "--seed")?;
+    let tenants = take_tenant_flags(&mut args)?;
+    reject_strays(&args, "serve")?;
 
     let mut cfg = if quick {
         ServeConfig::quick()
     } else {
         // Default shape: 2 shards, 4 synthetic tenants over the SPEC
         // suite with cycling QoS classes, telemetry on.
-        let mut cfg = ServeConfig::new(2);
+        let mut cfg =
+            ServeConfig::new(2).with_synthetic_tenants(tenants.count.unwrap_or(4), 20_000);
         cfg.telemetry = true;
-        let suite = WorkloadProfile::spec_suite();
-        let classes = [QosClass::Gold, QosClass::Silver, QosClass::Bronze];
-        let token = PrivilegeToken::acquire();
-        for i in 0..tenant_count.unwrap_or(4) {
-            let profile = suite[i % suite.len()].clone();
-            let name = format!("t{i}-{}", profile.name);
-            cfg.tenants
-                .push(TenantSpec::synthetic(&name, profile, 20_000));
-            cfg.set_qos(&name, classes[i % classes.len()], &token)
-                .expect("tenant just added");
-        }
         cfg
     };
     if let Some(n) = shards {
@@ -516,7 +599,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     if let Some(n) = workers {
         cfg.workers = n;
     }
-    if let Some(n) = epoch {
+    if let Some(n) = tenants.epoch {
         cfg.epoch_len = n;
     }
     if let Some(n) = seed {
@@ -527,7 +610,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             t.instructions = n;
         }
     }
-    for (name, path) in &file_tenants {
+    for (name, path) in &tenants.files {
         cfg.tenants.push(TenantSpec::from_file(name, path));
     }
 
@@ -620,16 +703,33 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     Ok(text)
 }
 
-fn cmd_soak(args: &[String]) -> Result<String, String> {
+fn cmd_serve_bench(mut args: Vec<String>) -> Result<String, String> {
+    let smoke = take_flag(&mut args, "--smoke");
+    let update_baseline = take_flag(&mut args, "--update-baseline");
+    let tenants = take_tenant_flags(&mut args)?;
+    let parsed = RunnerArgs::parse(&args, if smoke { 8_000 } else { 60_000 }).map_err(usage)?;
+    if parsed.jobs.is_some() {
+        return Err(usage(
+            "serve-bench takes no --jobs: each run has one worker per shard",
+        ));
+    }
+    let report = run_serve_bench(&ServeBenchConfig {
+        smoke,
+        instructions: parsed.instructions,
+        tenants: tenants.count.unwrap_or(8),
+        epoch_len: tenants.epoch.unwrap_or(1024),
+        file_tenants: tenants.files,
+    })?;
+    let path = report_path(parsed.json, update_baseline, "BENCH_serve.json");
+    finish(report, Some(&path))
+}
+
+fn cmd_soak(mut args: Vec<String>) -> Result<String, String> {
     use secpb_bench::soak::{run_soak, SoakConfig};
 
-    let mut args = args.to_vec();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
+    let quick = take_flag(&mut args, "--quick");
     let seed = take_numeric_flag::<u64>(&mut args, "--seed")?.unwrap_or(0x50AC);
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown soak argument `{stray}`\n{USAGE}"));
-    }
+    reject_strays(&args, "soak")?;
 
     let cfg = if quick {
         SoakConfig::quick(seed)
@@ -648,18 +748,14 @@ fn cmd_soak(args: &[String]) -> Result<String, String> {
     Ok(text)
 }
 
-fn cmd_recover_sweep(args: &[String]) -> Result<String, String> {
+fn cmd_recover_sweep(mut args: Vec<String>) -> Result<String, String> {
     use secpb_bench::recovery_sweep::{run_sweep, SweepConfig};
 
-    let mut args = args.to_vec();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
+    let quick = take_flag(&mut args, "--quick");
     let instructions = take_numeric_flag::<u64>(&mut args, "--instructions")?;
     let seed = take_numeric_flag::<u64>(&mut args, "--seed")?.unwrap_or(0x5EC9_B0A2);
     let json_path = take_path_flag(&mut args, "--json")?;
-    if let Some(stray) = args.first() {
-        return Err(format!("unknown recover-sweep argument `{stray}`\n{USAGE}"));
-    }
+    reject_strays(&args, "recover-sweep")?;
 
     let mut cfg = if quick {
         SweepConfig::quick(seed)
@@ -671,7 +767,7 @@ fn cmd_recover_sweep(args: &[String]) -> Result<String, String> {
     }
     let report = run_sweep(&cfg);
     if let Some(path) = json_path {
-        std::fs::write(&path, report.to_json().to_pretty()).map_err(|e| e.to_string())?;
+        write_file(&path, &report.to_json().to_pretty())?;
     }
     let text = report.render_text();
     if report.passed() {
@@ -903,21 +999,138 @@ mod tests {
 
     #[test]
     fn grid_reports_all_schemes_and_ignores_job_count() {
-        let serial = run(&["grid", "20000", "--jobs", "1"]).unwrap();
-        let parallel = run(&["grid", "20000", "--jobs", "4"]).unwrap();
-        for name in ["cobcm", "nogap", "cm"] {
+        let dir = std::env::temp_dir().join("secpb_cli_grid_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        // The smoke grid's report with host timing and the job count
+        // stripped, as `ci.sh`'s `normalize_grid` does.
+        let report = |jobs: &str| {
+            let path = dir.join(format!("grid{jobs}.json"));
+            let path = path.to_string_lossy();
+            let out = run(&["grid", "20000", "--smoke", "--jobs", jobs, "--json", &path]).unwrap();
+            assert!(
+                out.contains("determinism           parallel == serial"),
+                "{out}"
+            );
+            let doc = std::fs::read_to_string(&*path).unwrap();
+            std::fs::remove_file(&*path).ok();
+            doc.lines()
+                .filter(|l| {
+                    !["seconds", "speedup", "per_second", "per_store", "\"jobs\""]
+                        .iter()
+                        .any(|k| l.contains(k))
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let serial = report("1");
+        let parallel = report("4");
+        // Both smoke schemes on both workloads, and the recovery curve.
+        for name in ["\"bbb\"", "\"cobcm\"", "\"gamess\"", "\"povray\"", "nogap"] {
             assert!(serial.contains(name), "{serial}");
         }
-        // Byte-identical numbers regardless of worker count (only the
-        // header line reports the job count itself).
-        let rows = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(rows(&serial), rows(&parallel));
+        // Byte-identical simulated numbers regardless of worker count.
+        assert_eq!(serial, parallel);
     }
 
     #[test]
     fn grid_rejects_bad_arguments() {
         assert!(run(&["grid", "--jobs"]).is_err());
         assert!(run(&["grid", "notanumber"]).is_err());
+        assert!(run(&["grid", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn reproduce_rejects_bad_arguments() {
+        let err = run(&["reproduce", "fig6", "--bogus"]).unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
+        let err = run(&["reproduce", "validate-ipc", "abc"]).unwrap_err();
+        assert!(err.contains("bad instruction count"), "{err}");
+        let err = run(&["reproduce", "fig10"]).unwrap_err();
+        assert!(
+            err.contains("unknown artifact") && err.contains("validate-ipc"),
+            "{err}"
+        );
+        let err = run(&["reproduce", "ablations", "--json", "x.json"]).unwrap_err();
+        assert!(err.contains("no JSON payload"), "{err}");
+        let err = run(&["reproduce", "table5", "--json", "/nonexistent/x.json"]).unwrap_err();
+        assert!(err.contains("/nonexistent/x.json"), "{err}");
+        assert_eq!(run(&["reproduce"]).unwrap_err(), USAGE);
+    }
+
+    #[test]
+    fn reproduce_analytic_tables_match_checked_in_results() {
+        for name in ["table5", "table6"] {
+            let out = run(&["reproduce", name]).unwrap();
+            let path = format!("{}/results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+            let checked_in = std::fs::read_to_string(path).unwrap();
+            let expected = checked_in
+                .strip_suffix(&format!("wrote results/{name}.json\n"))
+                .expect("results file ends with its `wrote` line");
+            assert_eq!(out, expected);
+        }
+    }
+
+    #[test]
+    fn debug_rejects_bad_arguments() {
+        let err = run(&["debug", "povray", "--bogus"]).unwrap_err();
+        assert!(err.contains("unknown debug argument"), "{err}");
+        let err = run(&["debug", "povray", "abc"]).unwrap_err();
+        assert!(err.contains("bad instruction count"), "{err}");
+        let err = run(&["debug", "nosuchbench"]).unwrap_err();
+        assert!(err.contains("unknown benchmark"), "{err}");
+        let err = run(&["debug", "povray", "--trace-out"]).unwrap_err();
+        assert!(err.contains("--trace-out takes a file path"), "{err}");
+        assert_eq!(run(&["debug"]).unwrap_err(), USAGE);
+    }
+
+    #[test]
+    fn debug_breaks_down_every_scheme_and_writes_stats() {
+        let dir = std::env::temp_dir().join("secpb_cli_debug_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stats = dir.join("stats.json").to_string_lossy().into_owned();
+        let out = run(&["debug", "gamess", "5000", "--stats-json", &stats]).unwrap();
+        for scheme in Scheme::ALL {
+            assert!(
+                out.contains(&format!("{:>6}: cycles=", scheme.name())),
+                "{out}"
+            );
+        }
+        let doc = secpb_sim::json::Json::parse(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+        assert_eq!(doc.get("schemes").unwrap().items().len(), Scheme::ALL.len());
+        std::fs::remove_file(&stats).ok();
+    }
+
+    #[test]
+    fn serve_bench_rejects_bad_arguments() {
+        let err = run(&["serve-bench", "--smoke", "--bogus"]).unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
+        let err = run(&["serve-bench", "abc"]).unwrap_err();
+        assert!(err.contains("bad instruction count"), "{err}");
+        let err = run(&["serve-bench", "--tenants", "x"]).unwrap_err();
+        assert!(err.contains("--tenants takes a number"), "{err}");
+        let err = run(&["serve-bench", "--trace", "noequals"]).unwrap_err();
+        assert!(err.contains("NAME=PATH"), "{err}");
+        let err = run(&["serve-bench", "--jobs", "2"]).unwrap_err();
+        assert!(err.contains("no --jobs"), "{err}");
+    }
+
+    #[test]
+    fn serve_bench_smoke_validates_determinism() {
+        let dir = std::env::temp_dir().join("secpb_cli_serve_bench_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.json").to_string_lossy().into_owned();
+        let out = run(&["serve-bench", "--smoke", "--json", &path]).unwrap();
+        assert!(out.contains("match solo re-runs"), "{out}");
+        let doc = secpb_sim::json::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("determinism_validated"),
+            Some(&secpb_sim::json::Json::Bool(true))
+        );
+        for key in ["scaling_valid", "monotone_throughput", "results"] {
+            assert!(doc.get(key).is_some(), "report missing `{key}`");
+        }
+        assert_eq!(doc.get("results").unwrap().items().len(), 3);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -933,6 +1146,7 @@ mod tests {
         assert!(out.contains("PASS"), "{out}");
         assert!(out.contains("cobcm/drain-all"), "{out}");
         assert!(run(&["storm", "--seed"]).is_err());
+        assert!(run(&["storm", "--seed", "x"]).is_err());
         assert!(run(&["storm", "--brown-out", "2.0"]).is_err());
         assert!(run(&["storm", "--bogus"]).is_err());
     }
@@ -940,7 +1154,10 @@ mod tests {
     #[test]
     fn storm_quick_brown_out_reports_losses() {
         let out = run(&["storm", "--quick", "--brown-out", "0.25"]).unwrap();
-        let lost: u64 = out
+        let brown_out = out
+            .split_once("=== brown-out pass ===")
+            .map_or("", |(_, pass)| pass);
+        let lost: u64 = brown_out
             .lines()
             .find(|l| l.starts_with("storm:"))
             .and_then(|l| {
@@ -995,6 +1212,9 @@ mod tests {
         for name in ["cobcm", "nogap", "bbb"] {
             assert!(out.contains(name), "{out}");
         }
+        assert!(out.contains("64-entry SecPB"), "{out}");
+        assert!(run(&["battery", "abc"]).is_err());
+        assert!(run(&["battery", "64", "extra"]).is_err());
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn telemetered_cells_match_the_parallel_grid_cell_for_cell() {
     // The parallel pool runs plain cells; the serial sweep runs each
     // cell with a live telemetry ring attached.  Telemetry events
     // observe and never steer, so the two sweeps must be equal — the
-    // same contract `bench_grid --telemetry` gates on.
+    // same contract `secpb grid --telemetry` gates on.
     let parallel = run_grid(&cells, 4);
     for (cell, plain) in cells.iter().zip(&parallel) {
         let (telemetered, check, digest) = cell.run_with_recovery_telemetered(1 << 16);
