@@ -32,41 +32,30 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> reference-oracle suite on the default kernels (production == eager Scalar reference)"
+echo "==> workspace tests (every member crate's unit and integration tests)"
+# Tier-1 runs the root package only; this covers the member crates,
+# including the secpb-crypto tests that pin each runtime-detected
+# AES-NI/AVX2 kernel to its portable fallback.
+cargo test -q --workspace
+
+echo "==> reference-oracle suite (production == eager Scalar reference)"
 # The eager metadata engine on the Scalar kernel is buildable only from
-# secpb-core's own tests.  This lane pins the portable MultiBlock kernel
-# and the lazy engine to it; the hw-crypto lane below reruns the suite
-# with the hardware kernels compiled in.
+# secpb-core's own tests.  This lane pins the lazy engine and the native
+# kernels runtime detection picks (AES-NI/AVX2 where the host has them,
+# the portable fallbacks elsewhere) to it.
 cargo test -q -p secpb-core --lib reference_tests
 
-echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
-# The hw backends detect AES-NI/AVX2 at runtime and fall back to the
-# portable engines when the ISA is absent, so this lane is safe on any
-# host: with the extensions it exercises the AES-NI/4-lane-SHA-512
-# kernels, without them it validates the fallback path (graceful skip
-# happens inside the backends, not here).  The workspace tests include
-# the secpb-core reference suite, so on an AES-NI/AVX2 host this lane
-# pins HwCrypto to the Scalar reference.  The release `secpb` binary
-# the gates below run is rebuilt by this lane, so the storm and the grid
-# baseline exercise the hardware-class hot path.  The
-# feature must be enabled per package (--workspace), not just on the
-# root facade crate — a bare `--features hw-crypto` from the root only
-# rebuilds the facade and leaves its dependencies on scalar kernels.
-cargo build --release --workspace --features hw-crypto
-cargo test -q --workspace --features hw-crypto
-
-echo "==> backend-equivalence smoke (scalar == multiblock == hw on fuzzed digests)"
+echo "==> backend-equivalence smoke (scalar == native on fuzzed digests)"
 # The suite sweeps every kernel against the scalar reference on fuzzed
-# digest batches, checks runtime ISA detection, and runs the arena
-# stress test.  Run against the hw-crypto build so a detected
-# AES-NI/AVX2 host pins the real hardware kernels to the reference.
-cargo test -q --features hw-crypto --test backend_equivalence
+# digest batches, checks that the reported kernel name matches runtime
+# ISA detection, and runs the arena stress test.
+cargo test -q --test backend_equivalence
 
 echo "==> crypto_micro regression guard (batched fold >= 2x scalar)"
-# Fails if the multi-block batched HMAC fold is not at least 2x faster
-# than the scalar backend; self-skips (with a notice) on hosts where the
-# vectorized hash kernel is unavailable.
-cargo bench -p secpb-bench --features hw-crypto --bench crypto_micro -- --check
+# Fails if the native backend's batched HMAC fold is not at least 2x
+# faster than the scalar backend; self-skips (with a notice) on hosts
+# where the vectorized hash kernel is unavailable.
+cargo bench -p secpb-bench --bench crypto_micro -- --check
 
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
 # secpb storm exits nonzero on any panic, silent corruption, accounting

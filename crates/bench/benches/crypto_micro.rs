@@ -3,8 +3,8 @@
 //! 320 cycles (BMT walk), and the batched fold dispatches per backend.
 //!
 //! `cargo bench -p secpb-bench --bench crypto_micro -- --check` is the
-//! CI regression guard: it exits non-zero unless the multi-block batched
-//! HMAC fold is at least 2x faster than the scalar backend on the BMT
+//! CI regression guard: it exits non-zero unless the native backend's
+//! batched HMAC fold is at least 2x faster than the scalar backend on the BMT
 //! sibling-group shape (the speedup the batched fold rewrite exists to
 //! deliver).
 
@@ -221,12 +221,7 @@ fn bench_backends() -> BTreeMap<&'static str, f64> {
 
 fn main() -> ExitCode {
     let check = std::env::args().any(|a| a == "--check");
-    println!("hw-crypto compiled: {}", cfg!(feature = "hw-crypto"));
-    println!(
-        "hw backend available: {} (auto resolves to {})",
-        CryptoBackend::hw_available(),
-        CryptoBackend::auto().name()
-    );
+    println!("crypto kernel: {}", CryptoBackend::auto().name());
     bench_aes();
     bench_sha512();
     bench_hmac_and_mac();
@@ -238,19 +233,18 @@ fn main() -> ExitCode {
     let fold_ns = bench_backends();
 
     let scalar = fold_ns["scalar"];
-    let batched = fold_ns[CryptoBackend::auto().name()].min(fold_ns["multiblock"]);
+    let batched = fold_ns[CryptoBackend::auto().name()];
     let speedup = scalar / batched;
     println!("batched fold speedup vs scalar: {speedup:.2}x");
     if !check {
         return ExitCode::SUCCESS;
     }
-    // Without the vectorized kernel (feature off, or no AVX2 on this
-    // host) batching is an equivalence feature, not a speedup — there is
+    // Without the vectorized kernel (no AVX2 on this host) batching is an equivalence feature, not a speedup — there is
     // nothing to guard, so skip rather than fail.
     if !CryptoBackend::simd_hash_available() {
         println!(
             "check skipped: vectorized hash kernel unavailable \
-             (build with --features hw-crypto on an AVX2 host)"
+             (needs an AVX2 host)"
         );
     } else if speedup < 2.0 {
         eprintln!("FAIL: batched fold must be >= 2x faster than scalar (got {speedup:.2}x)");

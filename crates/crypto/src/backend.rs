@@ -1,295 +1,154 @@
-//! Pluggable crypto backends: scalar, software-pipelined multi-block, and
-//! feature-gated hardware (AES-NI) implementations of the hash and cipher
-//! hot paths.
+//! The crypto kernels behind every engine: a production backend that
+//! picks AES-NI and AVX2 kernels at runtime, and the scalar reference.
 //!
 //! Every fold of an integrity tree, every recovery-sweep MAC check, and
 //! every OTP pad is built from two primitive operations: the SHA-512
 //! compression function and the AES block encryption.  Both are
 //! *embarrassingly batchable* — sibling nodes of a tree level, the MACs of
 //! a recovery chunk, and the four AES blocks of one pad are mutually
-//! independent — so the engines dispatch whole batches through the
-//! [`HashBackend`] / [`CipherBackend`] traits and let the backend decide
-//! how to schedule them:
+//! independent — so the engines dispatch whole batches through a
+//! [`CryptoBackend`] and let it decide how to schedule them:
 //!
-//! * [`Scalar`] — one block at a time, the reference implementation.
-//! * [`MultiBlock`] — four interleaved SHA-512 lanes per dispatch.  With
-//!   the `hw-crypto` feature and a runtime-detected AVX2 CPU this runs
-//!   the explicit 256-bit `sha512x4` kernel (one ymm register per round
-//!   variable, all four lanes at once); otherwise it falls back to
-//!   [`sha512`]'s portable structure-of-arrays compression, four
-//!   independent dependency chains the out-of-order core can pipeline.
-//! * [`HwCrypto`] — `std::arch` AES-NI for the cipher side (compiled in
-//!   only with the `hw-crypto` feature and used only when
-//!   `is_x86_feature_detected!` confirms the ISA at runtime, falling back
-//!   to scalar otherwise).  x86 offers no SHA-512 instruction (SHA-NI
-//!   covers SHA-1/SHA-256 only), so the hash side uses the multi-block
-//!   schedule — which under the same feature gate is the AVX2 kernel.
+//! * [`CryptoBackend::Scalar`] — one block at a time, the reference the
+//!   tests pin the production kernel to.
+//! * [`CryptoBackend::Native`] — the production kernel.  Hashing runs
+//!   four SHA-512 lanes per dispatch: the 256-bit `sha512x4` kernel
+//!   when `is_x86_feature_detected!("avx2")` confirms the ISA, otherwise
+//!   [`sha512`]'s portable structure-of-arrays compression.  The cipher
+//!   runs the `aesni` kernel when the CPU advertises AES-NI, otherwise
+//!   the portable [`Aes`].  x86 offers no SHA-512 instruction (SHA-NI
+//!   covers SHA-1/SHA-256 only), so the vector kernel is the
+//!   hardware-class hash path.  Both kernels are compiled into every
+//!   x86-64 build; [`CryptoBackend::name`] reports which ones detection
+//!   picked.
 //!
-//! All three backends are bit-identical by construction; the
-//! backend-equivalence suite proves it over fuzzed traces, digests, and
-//! whole benchmark grids.
-
-use std::str::FromStr;
+//! Both variants are bit-identical by construction; the unit tests here
+//! pin each detected kernel to its portable fallback, and the
+//! backend-equivalence suite and `secpb-core`'s reference tests pin the
+//! whole production path to the scalar reference.
 
 use crate::aes::Aes;
 use crate::sha512::{self, LANES};
 
-/// A batched SHA-512 compression engine.
-///
-/// `states[i]` absorbs `blocks[i]` for every `i`; the blocks are
-/// independent (different messages), not consecutive blocks of one
-/// message, so implementations are free to reorder or interleave them.
-pub trait HashBackend {
-    /// Stable lowercase backend name (reports, benchmarks).
-    fn name(&self) -> &'static str;
+/// A copyable backend selector the crypto engines hold and dispatch
+/// through, so engines stay cheap to clone and need no trait objects on
+/// the hot path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum CryptoBackend {
+    /// One block at a time (the reference engine).
+    Scalar,
+    /// Four SHA-512 lanes per dispatch and batched AES, each through the
+    /// fastest kernel runtime detection finds on this host.
+    #[default]
+    Native,
+}
+
+impl CryptoBackend {
+    /// Every backend variant, for equivalence sweeps.
+    pub const ALL: [CryptoBackend; 2] = [CryptoBackend::Scalar, CryptoBackend::Native];
+
+    /// The production backend.  Never [`CryptoBackend::Scalar`]; which
+    /// kernels it runs is decided per dispatch by runtime detection and
+    /// reported by [`name`](Self::name).
+    pub fn auto() -> Self {
+        CryptoBackend::Native
+    }
+
+    /// Whether the CPU advertises AES-NI, so [`CryptoBackend::Native`]
+    /// ciphers through the `aesni` kernel.
+    pub fn aes_ni_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            aesni::available()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// Whether the CPU advertises AVX2, so [`CryptoBackend::Native`]
+    /// hashes through the vector `sha512x4` kernel.  When `false`,
+    /// batched dispatches still work but run the portable schedule, so
+    /// batching is a correctness/equivalence feature rather than a
+    /// speedup — benchmark regression guards key off this.
+    pub fn simd_hash_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            sha512x4::available()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// Stable lowercase name of the kernels this backend runs on this
+    /// host (reports, benchmarks): `scalar` for the reference, and for
+    /// [`CryptoBackend::Native`] what detection picked — `aesni+avx2`,
+    /// `aesni`, `avx2`, or `portable`.
+    pub fn name(self) -> &'static str {
+        match (self, Self::aes_ni_available(), Self::simd_hash_available()) {
+            (CryptoBackend::Scalar, _, _) => "scalar",
+            (CryptoBackend::Native, true, true) => "aesni+avx2",
+            (CryptoBackend::Native, true, false) => "aesni",
+            (CryptoBackend::Native, false, true) => "avx2",
+            (CryptoBackend::Native, false, false) => "portable",
+        }
+    }
 
     /// Compresses `blocks[i]` into `states[i]` for every lane.
+    ///
+    /// The blocks are independent (different messages), not consecutive
+    /// blocks of one message, so the backend is free to interleave them.
     ///
     /// # Panics
     ///
     /// Panics if `states` and `blocks` have different lengths.
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]);
-}
-
-/// A batched AES block-encryption engine over an expanded key schedule.
-pub trait CipherBackend {
-    /// Stable lowercase backend name (reports, benchmarks).
-    fn name(&self) -> &'static str;
-
-    /// Encrypts each 16-byte block in place under `aes`'s key schedule.
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]);
-
-    /// Decrypts each 16-byte block in place under `aes`'s key schedule.
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]);
-}
-
-/// The reference backend: one scalar compression / AES block at a time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Scalar;
-
-impl HashBackend for Scalar {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
-        assert_eq!(states.len(), blocks.len(), "lane count mismatch");
-        for (state, block) in states.iter_mut().zip(blocks) {
-            sha512::compress_block(state, block);
-        }
-    }
-}
-
-impl CipherBackend for Scalar {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        for block in blocks {
-            *block = aes.encrypt_block(block);
-        }
-    }
-
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        for block in blocks {
-            *block = aes.decrypt_block(block);
-        }
-    }
-}
-
-/// The software-pipelined backend: four interleaved SHA-512 lanes per
-/// dispatch (structure-of-arrays, auto-vectorizable), scalar AES.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MultiBlock;
-
-impl HashBackend for MultiBlock {
-    fn name(&self) -> &'static str {
-        "multiblock"
-    }
-
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
+    pub fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
         assert_eq!(states.len(), blocks.len(), "lane count mismatch");
         let mut i = 0;
-        while states.len() - i >= LANES {
-            let lane_blocks = [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]];
-            let lane_states: &mut [[u64; 8]; LANES] =
-                (&mut states[i..i + LANES]).try_into().expect("4 lanes");
-            i += LANES;
-            // Prefer the explicit 256-bit kernel: the portable SoA
-            // schedule needs 32+ live 64-bit values, which spills on the
-            // 16-GPR baseline target, so real vector registers are where
-            // the batching pays off.
-            #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-            if sha512x4::try_compress4(lane_states, lane_blocks) {
-                continue;
+        if *self == CryptoBackend::Native {
+            while states.len() - i >= LANES {
+                let lane_blocks = [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]];
+                let lane_states: &mut [[u64; 8]; LANES] =
+                    (&mut states[i..i + LANES]).try_into().expect("4 lanes");
+                i += LANES;
+                // Prefer the explicit 256-bit kernel: the portable SoA
+                // schedule needs 32+ live 64-bit values, which spills on
+                // the 16-GPR baseline target, so real vector registers
+                // are where the batching pays off.
+                #[cfg(target_arch = "x86_64")]
+                if sha512x4::try_compress4(lane_states, lane_blocks) {
+                    continue;
+                }
+                sha512::compress4(lane_states, lane_blocks);
             }
-            sha512::compress4(lane_states, lane_blocks);
         }
         for (state, block) in states[i..].iter_mut().zip(&blocks[i..]) {
             sha512::compress_block(state, block);
         }
     }
-}
 
-impl CipherBackend for MultiBlock {
-    fn name(&self) -> &'static str {
-        "multiblock"
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        Scalar.encrypt_batch(aes, blocks);
-    }
-
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        Scalar.decrypt_batch(aes, blocks);
-    }
-}
-
-/// The hardware backend: AES-NI cipher when compiled with `hw-crypto` and
-/// detected at runtime (scalar fallback otherwise), multi-block hashing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HwCrypto;
-
-impl HashBackend for HwCrypto {
-    fn name(&self) -> &'static str {
-        "hw"
-    }
-
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
-        // No SHA-512 ISA extension exists on x86; the pipelined software
-        // schedule *is* the hardware-class hash path.
-        MultiBlock.compress_batch(states, blocks);
-    }
-}
-
-impl CipherBackend for HwCrypto {
-    fn name(&self) -> &'static str {
-        "hw"
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        if aesni::try_encrypt_batch(aes, blocks) {
+    /// Encrypts each 16-byte block in place under `aes`'s key schedule.
+    pub fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if *self == CryptoBackend::Native && aesni::try_encrypt_batch(aes, blocks) {
             return;
         }
-        Scalar.encrypt_batch(aes, blocks);
+        for block in blocks {
+            *block = aes.encrypt_block(block);
+        }
     }
 
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        if aesni::try_decrypt_batch(aes, blocks) {
+    /// Decrypts each 16-byte block in place under `aes`'s key schedule.
+    pub fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if *self == CryptoBackend::Native && aesni::try_decrypt_batch(aes, blocks) {
             return;
         }
-        Scalar.decrypt_batch(aes, blocks);
-    }
-}
-
-/// A copyable backend selector the crypto engines hold and dispatch
-/// through — the enum form of the two traits, so engines stay `Copy`-cheap
-/// to clone and need no trait objects on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CryptoBackend {
-    /// One block at a time (the reference engine).
-    Scalar,
-    /// Four interleaved SHA-512 lanes per dispatch, scalar AES.
-    #[default]
-    MultiBlock,
-    /// AES-NI cipher (with runtime detection and scalar fallback),
-    /// multi-block hashing.
-    HwCrypto,
-}
-
-impl CryptoBackend {
-    /// The best backend available on this host: [`CryptoBackend::HwCrypto`]
-    /// when the crate was built with `hw-crypto` *and* the CPU advertises
-    /// AES-NI, [`CryptoBackend::MultiBlock`] otherwise.
-    pub fn auto() -> Self {
-        if Self::hw_available() {
-            CryptoBackend::HwCrypto
-        } else {
-            CryptoBackend::MultiBlock
-        }
-    }
-
-    /// Whether the hardware cipher path is actually usable here (feature
-    /// compiled in and ISA detected at runtime).
-    pub fn hw_available() -> bool {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        {
-            aesni::available()
-        }
-        #[cfg(not(all(feature = "hw-crypto", target_arch = "x86_64")))]
-        {
-            false
-        }
-    }
-
-    /// Whether the vectorized multi-block hash kernel is actually usable
-    /// here (`hw-crypto` compiled in and AVX2 detected at runtime).  When
-    /// `false`, batched dispatches still work but run the portable
-    /// schedule, so batching is a correctness/equivalence feature rather
-    /// than a speedup — benchmark regression guards key off this.
-    pub fn simd_hash_available() -> bool {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        {
-            sha512x4::available()
-        }
-        #[cfg(not(all(feature = "hw-crypto", target_arch = "x86_64")))]
-        {
-            false
-        }
-    }
-
-    /// Stable lowercase name (CLI flags, JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            CryptoBackend::Scalar => HashBackend::name(&Scalar),
-            CryptoBackend::MultiBlock => HashBackend::name(&MultiBlock),
-            CryptoBackend::HwCrypto => HashBackend::name(&HwCrypto),
-        }
-    }
-
-    /// Every backend variant, for equivalence sweeps.
-    pub const ALL: [CryptoBackend; 3] = [
-        CryptoBackend::Scalar,
-        CryptoBackend::MultiBlock,
-        CryptoBackend::HwCrypto,
-    ];
-}
-
-impl HashBackend for CryptoBackend {
-    fn name(&self) -> &'static str {
-        (*self).name()
-    }
-
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
-        match self {
-            CryptoBackend::Scalar => Scalar.compress_batch(states, blocks),
-            CryptoBackend::MultiBlock => MultiBlock.compress_batch(states, blocks),
-            CryptoBackend::HwCrypto => HwCrypto.compress_batch(states, blocks),
-        }
-    }
-}
-
-impl CipherBackend for CryptoBackend {
-    fn name(&self) -> &'static str {
-        (*self).name()
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        match self {
-            CryptoBackend::Scalar => Scalar.encrypt_batch(aes, blocks),
-            CryptoBackend::MultiBlock => MultiBlock.encrypt_batch(aes, blocks),
-            CryptoBackend::HwCrypto => HwCrypto.encrypt_batch(aes, blocks),
-        }
-    }
-
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        match self {
-            CryptoBackend::Scalar => Scalar.decrypt_batch(aes, blocks),
-            CryptoBackend::MultiBlock => MultiBlock.decrypt_batch(aes, blocks),
-            CryptoBackend::HwCrypto => HwCrypto.decrypt_batch(aes, blocks),
+        for block in blocks {
+            *block = aes.decrypt_block(block);
         }
     }
 }
@@ -300,26 +159,10 @@ impl std::fmt::Display for CryptoBackend {
     }
 }
 
-impl FromStr for CryptoBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(CryptoBackend::Scalar),
-            "multiblock" => Ok(CryptoBackend::MultiBlock),
-            "hw" => Ok(CryptoBackend::HwCrypto),
-            "auto" => Ok(CryptoBackend::auto()),
-            other => Err(format!(
-                "unknown crypto backend '{other}' (scalar|multiblock|hw|auto)"
-            )),
-        }
-    }
-}
-
-/// The `std::arch` AES-NI kernels — the only unsafe code in the crate,
-/// compiled in exclusively under the `hw-crypto` feature and entered only
+/// The `std::arch` AES-NI kernels — with `sha512x4`, the only unsafe
+/// code in the crate, compiled into every x86-64 build and entered only
 /// behind a runtime `is_x86_feature_detected!("aes")` check.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod aesni {
     use std::arch::x86_64::{
@@ -373,7 +216,7 @@ mod aesni {
     ///
     /// The caller must have verified the `aes` target feature.
     #[target_feature(enable = "aes,sse2")]
-    pub(super) unsafe fn encrypt_batch(round_keys: &[[u8; 16]], blocks: &mut [[u8; 16]]) {
+    unsafe fn encrypt_batch(round_keys: &[[u8; 16]], blocks: &mut [[u8; 16]]) {
         let (keys, nr) = load_keys(round_keys);
         for block in blocks {
             let mut state = _mm_loadu_si128(block.as_ptr().cast());
@@ -393,7 +236,7 @@ mod aesni {
     ///
     /// The caller must have verified the `aes` target feature.
     #[target_feature(enable = "aes,sse2")]
-    pub(super) unsafe fn decrypt_batch(round_keys: &[[u8; 16]], blocks: &mut [[u8; 16]]) {
+    unsafe fn decrypt_batch(round_keys: &[[u8; 16]], blocks: &mut [[u8; 16]]) {
         let (keys, nr) = load_keys(round_keys);
         let mut dec = [_mm_setzero_si128(); 15];
         dec[0] = keys[nr];
@@ -414,13 +257,12 @@ mod aesni {
 }
 
 /// The `std::arch` AVX2 four-lane SHA-512 compression kernel — like
-/// [`aesni`], unsafe code compiled in only under the `hw-crypto` feature
-/// and entered only behind a runtime `is_x86_feature_detected!("avx2")`
-/// check.  x86 has no SHA-512 instruction, but one ymm register holds a
+/// `aesni`, unsafe code compiled into every x86-64 build and entered
+/// only behind a runtime `is_x86_feature_detected!("avx2")` check.  x86 has no SHA-512 instruction, but one ymm register holds a
 /// 64-bit round variable for all four lanes at once, so every round
 /// operation of four independent compressions becomes a single vector
 /// instruction instead of four spill-prone scalar ones.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sha512x4 {
     use std::arch::x86_64::{
@@ -549,6 +391,24 @@ mod tests {
     use super::*;
     use crate::sha512::{Digest, Sha512};
 
+    /// Deterministic xorshift64* fuzz source.
+    struct Fuzz(u64);
+
+    impl Fuzz {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn fill(&mut self, out: &mut [u8]) {
+            for b in out {
+                *b = self.next() as u8;
+            }
+        }
+    }
+
     fn states_and_blocks(n: usize) -> (Vec<[u64; 8]>, Vec<[u8; 128]>) {
         let states = vec![crate::sha512::initial_state(); n];
         let blocks: Vec<[u8; 128]> = (0..n)
@@ -574,8 +434,7 @@ mod tests {
                 backend.compress_batch(&mut states, &refs);
                 results.push(states);
             }
-            assert_eq!(results[0], results[1], "scalar vs multiblock, n={n}");
-            assert_eq!(results[0], results[2], "scalar vs hw, n={n}");
+            assert_eq!(results[0], results[1], "scalar vs native, n={n}");
         }
     }
 
@@ -587,7 +446,7 @@ mod tests {
         let mut tail = [0u8; 128];
         crate::sha512::write_padded_tail(&msg, 0, &mut tail);
         let mut states = vec![crate::sha512::initial_state()];
-        CryptoBackend::MultiBlock.compress_batch(&mut states, &[&tail]);
+        CryptoBackend::Native.compress_batch(&mut states, &[&tail]);
         let mut out = [0u8; 64];
         for (i, word) in states[0].iter().enumerate() {
             out[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
@@ -613,34 +472,35 @@ mod tests {
             backend.encrypt_batch(&aes, &mut blocks);
             results.push(blocks.clone());
             backend.decrypt_batch(&aes, &mut blocks);
-            assert_eq!(blocks, base, "{} round trip", CipherBackend::name(&backend));
+            assert_eq!(blocks, base, "{backend} round trip");
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
         // And the batch path agrees with the scalar single-block API.
         assert_eq!(results[0][0], aes.encrypt_block(&base[0]));
     }
 
     #[test]
-    fn auto_never_picks_scalar() {
-        assert_ne!(CryptoBackend::auto(), CryptoBackend::Scalar);
-        if !CryptoBackend::hw_available() {
-            assert_eq!(CryptoBackend::auto(), CryptoBackend::MultiBlock);
-        }
+    fn auto_is_the_native_kernel() {
+        assert_eq!(CryptoBackend::auto(), CryptoBackend::Native);
+        assert_eq!(CryptoBackend::default(), CryptoBackend::Native);
     }
 
     #[test]
-    fn names_and_parsing() {
+    fn names_report_the_detected_kernels() {
         assert_eq!(CryptoBackend::Scalar.name(), "scalar");
-        assert_eq!(CryptoBackend::MultiBlock.name(), "multiblock");
-        assert_eq!(CryptoBackend::HwCrypto.name(), "hw");
-        assert_eq!(CryptoBackend::default(), CryptoBackend::MultiBlock);
+        let expected = match (
+            CryptoBackend::aes_ni_available(),
+            CryptoBackend::simd_hash_available(),
+        ) {
+            (true, true) => "aesni+avx2",
+            (true, false) => "aesni",
+            (false, true) => "avx2",
+            (false, false) => "portable",
+        };
+        assert_eq!(CryptoBackend::Native.name(), expected);
         for backend in CryptoBackend::ALL {
-            assert_eq!(backend.name().parse::<CryptoBackend>(), Ok(backend));
             assert_eq!(backend.to_string(), backend.name());
         }
-        assert_eq!("auto".parse::<CryptoBackend>(), Ok(CryptoBackend::auto()));
-        assert!("sse9".parse::<CryptoBackend>().is_err());
     }
 
     #[test]
@@ -649,5 +509,71 @@ mod tests {
         let (mut states, blocks) = states_and_blocks(2);
         let refs: Vec<&[u8; 128]> = blocks.iter().take(1).collect();
         CryptoBackend::Scalar.compress_batch(&mut states, &refs);
+    }
+
+    // The portable AES and `sha512::compress4` are the fallbacks runtime
+    // detection selects on hosts without AES-NI/AVX2, so on hosts with
+    // them they never run in production.  These pin each detected kernel
+    // to its fallback on fuzzed inputs.
+
+    #[test]
+    fn aesni_kernel_matches_portable_aes_on_fuzzed_inputs() {
+        #[cfg(target_arch = "x86_64")]
+        if aesni::available() {
+            let mut fuzz = Fuzz(0xAE5_0001);
+            for round in 0..48usize {
+                let mut key = [0u8; 32];
+                fuzz.fill(&mut key);
+                let aes = match round % 3 {
+                    0 => Aes::new_128(key[..16].try_into().expect("16 bytes")),
+                    1 => Aes::new_192(key[..24].try_into().expect("24 bytes")),
+                    _ => Aes::new_256(&key),
+                };
+                let mut plain = vec![[0u8; 16]; round % 11];
+                for block in &mut plain {
+                    fuzz.fill(block);
+                }
+                let mut blocks = plain.clone();
+                assert!(aesni::try_encrypt_batch(&aes, &mut blocks));
+                let portable: Vec<[u8; 16]> = plain.iter().map(|b| aes.encrypt_block(b)).collect();
+                assert_eq!(blocks, portable, "encrypt, round {round}");
+                let back: Vec<[u8; 16]> = blocks.iter().map(|b| aes.decrypt_block(b)).collect();
+                assert_eq!(back, plain, "portable decrypt, round {round}");
+                assert!(aesni::try_decrypt_batch(&aes, &mut blocks));
+                assert_eq!(blocks, plain, "decrypt, round {round}");
+            }
+            return;
+        }
+        eprintln!("note: AES-NI absent on this host; aesni kernel check skipped");
+    }
+
+    #[test]
+    fn avx2_kernel_matches_portable_compress4_on_fuzzed_inputs() {
+        #[cfg(target_arch = "x86_64")]
+        if sha512x4::available() {
+            let mut fuzz = Fuzz(0x5A5_0004);
+            for round in 0..64 {
+                let mut states = [[0u64; 8]; LANES];
+                for word in states.iter_mut().flatten() {
+                    *word = fuzz.next();
+                }
+                let mut blocks = [[0u8; 128]; LANES];
+                for block in &mut blocks {
+                    fuzz.fill(block);
+                }
+                let lanes = [&blocks[0], &blocks[1], &blocks[2], &blocks[3]];
+                let mut portable = states;
+                sha512::compress4(&mut portable, lanes);
+                let mut scalar = states;
+                for (state, block) in scalar.iter_mut().zip(&blocks) {
+                    sha512::compress_block(state, block);
+                }
+                assert_eq!(portable, scalar, "portable compress4, round {round}");
+                assert!(sha512x4::try_compress4(&mut states, lanes));
+                assert_eq!(states, portable, "avx2 compress4, round {round}");
+            }
+            return;
+        }
+        eprintln!("note: AVX2 absent on this host; sha512x4 kernel check skipped");
     }
 }

@@ -4,7 +4,7 @@
 //! counter into a keyed authentication code, and by [`crate::bmt`] as the
 //! keyed node hash of the integrity tree.
 
-use crate::backend::HashBackend;
+use crate::backend::CryptoBackend;
 use crate::sha512::{self, Digest, Sha512};
 
 const BLOCK_LEN: usize = 128;
@@ -104,7 +104,7 @@ impl HmacSha512 {
     /// to `out` in message order.
     ///
     /// Every message advances in lockstep, one padded 128-byte block per
-    /// round, so each round is a single [`HashBackend::compress_batch`]
+    /// round, so each round is a single [`CryptoBackend::compress_batch`]
     /// dispatch over all `n` lanes — sibling BMT nodes, SGX-tree node
     /// MACs, and recovery-sweep block MACs all batch through here.
     /// Bit-identical to `n` [`compute`](Self::compute) calls.
@@ -114,7 +114,7 @@ impl HmacSha512 {
     /// Panics if `msg_len` is zero or does not divide `messages.len()`.
     pub fn compute_batch(
         &self,
-        backend: &dyn HashBackend,
+        backend: &CryptoBackend,
         messages: &[u8],
         msg_len: usize,
         out: &mut Vec<Digest>,
@@ -264,7 +264,7 @@ mod tests {
     fn compute_batch_empty_is_empty() {
         let mac = HmacSha512::new(b"k");
         let mut out = Vec::new();
-        mac.compute_batch(&crate::backend::CryptoBackend::MultiBlock, &[], 8, &mut out);
+        mac.compute_batch(&crate::backend::CryptoBackend::Native, &[], 8, &mut out);
         assert!(out.is_empty());
     }
 

@@ -41,10 +41,10 @@
 //! assert_eq!(aes.decrypt_block(&ct), pt);
 //! ```
 
-// The only unsafe code in the crate is the `std::arch` AES-NI kernel
-// behind the `hw-crypto` feature; default builds stay forbid-clean.
-#![cfg_attr(not(feature = "hw-crypto"), forbid(unsafe_code))]
-#![cfg_attr(feature = "hw-crypto", deny(unsafe_code))]
+// The only unsafe code in the crate is the two `std::arch` kernel
+// modules in `backend` (AES-NI, AVX2 SHA-512), each entered only behind
+// runtime ISA detection.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
@@ -61,7 +61,7 @@ pub mod sha512;
 pub mod xts;
 
 pub use aes::Aes;
-pub use backend::{CipherBackend, CryptoBackend, HashBackend};
+pub use backend::CryptoBackend;
 pub use bmt::BonsaiMerkleTree;
 pub use counter::{CounterBlock, SplitCounter};
 pub use mac::BlockMac;

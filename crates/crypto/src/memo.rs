@@ -23,7 +23,7 @@ use std::hash::Hash;
 
 use secpb_sim::fxhash::FxHashMap;
 
-use crate::backend::HashBackend;
+use crate::backend::CryptoBackend;
 use crate::counter::SplitCounter;
 use crate::otp::Otp;
 use crate::sha512::{digest64_batch, Digest, Sha512};
@@ -326,7 +326,7 @@ impl DigestMemo {
     /// changed counter block).
     pub fn digest_batch(
         &self,
-        backend: &dyn HashBackend,
+        backend: &CryptoBackend,
         items: &[(u64, [u8; 64])],
         out: &mut Vec<Digest>,
     ) {
@@ -512,7 +512,7 @@ mod tests {
         batch.digest(1, &[1u8; 64]);
         serial.digest(1, &[1u8; 64]);
         let mut out = Vec::new();
-        batch.digest_batch(&CryptoBackend::MultiBlock, &items, &mut out);
+        batch.digest_batch(&CryptoBackend::Native, &items, &mut out);
         assert_eq!(out.len(), items.len());
         for ((key, bytes), digest) in items.iter().zip(&out) {
             assert_eq!(*digest, Sha512::digest(bytes), "key {key}");

@@ -9,7 +9,7 @@
 //! exploit (the OTP field `O` in the SecPB entry).
 
 use crate::aes::Aes;
-use crate::backend::{CipherBackend, CryptoBackend};
+use crate::backend::CryptoBackend;
 use crate::counter::SplitCounter;
 use crate::memo::PadCache;
 

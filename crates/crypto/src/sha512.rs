@@ -449,13 +449,13 @@ fn digest_from_state(state: &[u64; 8]) -> Digest {
 ///
 /// A 64-byte message pads to exactly one 128-byte block (message, `0x80`,
 /// zeros, 128-bit length), so the whole batch is a single
-/// [`HashBackend::compress_batch`] call — sibling messages ride the
+/// [`CryptoBackend::compress_batch`] call — sibling messages ride the
 /// multi-lane kernel instead of going one-at-a-time through the streaming
 /// hasher.  Bit-identical to [`Sha512::digest`] per message.
 ///
-/// [`HashBackend::compress_batch`]: crate::backend::HashBackend::compress_batch
+/// [`CryptoBackend::compress_batch`]: crate::backend::CryptoBackend::compress_batch
 pub fn digest64_batch(
-    backend: &dyn crate::backend::HashBackend,
+    backend: &crate::backend::CryptoBackend,
     msgs: &[&[u8; 64]],
     out: &mut Vec<Digest>,
 ) {

@@ -24,7 +24,7 @@ use secpb_crypto::memo::DigestMemo;
 use secpb_crypto::otp::OtpEngine;
 use secpb_crypto::sha512::{Digest, Sha512};
 use secpb_mem::store::NvmStore;
-use secpb_sim::addr::BlockAddr;
+use secpb_sim::addr::{Asid, BlockAddr};
 use secpb_sim::fxhash::FxHashMap;
 use secpb_sim::trace::Access;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
@@ -65,13 +65,10 @@ impl DomainKeys {
     };
 }
 
-/// What a `PersistDomain::flush_entry` call actually computed, so each
-/// front can translate the work into its own statistics namespace.
+/// What `PersistDomain::flush` computed for one entry, so each front
+/// can translate the work into its own statistics namespace.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FlushRecord {
-    /// The entry arrived without a valid counter; the kernel incremented
-    /// the logical counter (raw, no overflow handling).
-    pub counter_incremented: bool,
     /// The OTP was generated at flush time (was not carried early).
     pub otp_generated: bool,
     /// The ciphertext was generated at flush time.
@@ -298,7 +295,8 @@ impl PersistDomain {
     /// Raw logical-counter increment (no page-overflow handling — the
     /// eADR and multi-core fronts never re-encrypt; the single-core
     /// pipeline layers overflow handling on top in
-    /// `SecureSystem::increment_logical`).
+    /// `SecureSystem::increment_logical`).  The fronts resolve counters
+    /// with it before calling [`flush`](Self::flush).
     pub(crate) fn increment_raw(&mut self, block: BlockAddr) -> SplitCounter {
         let page = NvmStore::page_of(block);
         let slot = NvmStore::page_slot_of(block);
@@ -307,142 +305,100 @@ impl PersistDomain {
         cb.counter_of(slot)
     }
 
-    /// Applies an entry's full memory-tuple update to the durable state —
-    /// the drain-completion kernel shared by the SecPB fronts.
+    /// The drain-completion kernel every front drives: applies each
+    /// entry's full memory-tuple update to the durable state, in order.
     ///
     /// With `secure == false` (the insecure `bbb` baseline) only the data
-    /// block moves.  Otherwise any metadata the entry did not carry early
-    /// is generated here; the returned [`FlushRecord`] says what was.
-    pub(crate) fn flush_entry(&mut self, mut entry: Entry, secure: bool) -> FlushRecord {
-        let block = entry.block;
+    /// blocks move.  Otherwise every entry's counter must already be
+    /// resolved (each front owns its counter policy); whatever else the
+    /// scheme left late — pad, ciphertext, MAC — is generated here, and
+    /// the returned [`FlushRecord`]s say what was.  The stateless MACs of
+    /// the whole slice ride one multi-lane dispatch and so do its counter
+    /// digests, while everything stateful — pad-cache and digest-memo
+    /// accesses, NVM writes, tree-leaf updates — runs in slice order, so
+    /// the result is byte-identical to flushing the entries one by one.
+    pub(crate) fn flush(&mut self, entries: &[Entry], secure: bool) -> Vec<FlushRecord> {
         if !secure {
-            self.nvm.write_data(block, entry.plaintext);
-            return FlushRecord::default();
-        }
-        let page = NvmStore::page_of(block);
-        let slot = NvmStore::page_slot_of(block);
-        let mut rec = FlushRecord::default();
-
-        if !entry.valid.counter {
-            entry.counter = self.increment_raw(block);
-            entry.valid.counter = true;
-            rec.counter_incremented = true;
-        }
-        let ctr = entry.counter;
-        let pad = if entry.valid.otp {
-            entry.otp
-        } else {
-            rec.otp_generated = true;
-            self.otp_engine.generate(block.index(), ctr)
-        };
-        let ct = if entry.valid.ciphertext {
-            entry.ciphertext
-        } else {
-            rec.ciphertext_generated = true;
-            OtpEngine::apply_pad(&entry.plaintext, &pad)
-        };
-        let mac = match entry.mac {
-            Some(m) if entry.valid.mac => m,
-            _ => {
-                // `mac_generated` reports whether the *modeled* MAC unit
-                // ran at drain; with `valid.mac` set the unit already ran
-                // early and only the host-side tag was deferred here.
-                rec.mac_generated = !entry.valid.mac;
-                self.mac_engine.compute(&ct, block.index(), ctr)
+            for entry in entries {
+                self.nvm.write_data(entry.block, entry.plaintext);
             }
-        };
-
-        self.nvm.write_data(block, ct);
-        self.nvm.write_mac(block, mac.truncate_u64());
-        let mut cb = self.nvm.read_counters(page);
-        cb.set_counter(slot, ctr);
-        self.nvm.write_counters(page, cb.clone());
-        let digest = self.counter_digest(page, &cb);
-        rec.tree_hashes = self.tree.update_leaf(page, digest);
-        self.persist_root();
-        rec
-    }
-
-    /// Flushes a run of entries whose counter and ciphertext are already
-    /// valid, computing the (stateless) block MACs in one multi-lane
-    /// batch instead of one HMAC per entry.  Everything stateful — NVM
-    /// writes, counter blocks, digests, tree leaves — still runs
-    /// per-entry in input order, so the result is byte-identical to
-    /// calling [`flush_entry`](Self::flush_entry) on each entry in turn.
-    pub(crate) fn flush_ready_batch(&mut self, entries: &[Entry]) -> Vec<FlushRecord> {
+            return vec![FlushRecord::default(); entries.len()];
+        }
         debug_assert!(
-            entries
-                .iter()
-                .all(|e| e.valid.counter && e.valid.ciphertext),
-            "batched flush requires resolved counters and ciphertexts"
+            entries.iter().all(|e| e.valid.counter),
+            "the flush kernel requires resolved counters"
         );
+        let mut recs = Vec::with_capacity(entries.len());
+        let mut cts: Vec<[u8; 64]> = Vec::with_capacity(entries.len());
+        for e in entries {
+            // `mac_generated` reports whether the *modeled* MAC unit ran
+            // at drain; with `valid.mac` set the unit already ran early
+            // and only the host-side tag is computed here.
+            let mut rec = FlushRecord {
+                mac_generated: !e.valid.mac,
+                ..FlushRecord::default()
+            };
+            let pad = if e.valid.otp {
+                e.otp
+            } else {
+                rec.otp_generated = true;
+                self.otp_engine.generate(e.block.index(), e.counter)
+            };
+            cts.push(if e.valid.ciphertext {
+                e.ciphertext
+            } else {
+                rec.ciphertext_generated = true;
+                OtpEngine::apply_pad(&e.plaintext, &pad)
+            });
+            recs.push(rec);
+        }
         let mut tags = Vec::with_capacity(entries.len());
         {
             let refs: Vec<(&[u8; 64], u64, SplitCounter)> = entries
                 .iter()
-                .map(|e| (&e.ciphertext, e.block.index(), e.counter))
+                .zip(&cts)
+                .map(|(e, ct)| (ct, e.block.index(), e.counter))
                 .collect();
             self.mac_engine.compute_truncated_batch(&refs, &mut tags);
         }
-        // Pass 1, in drain order: data/MAC/counter writes, snapshotting
-        // each entry's post-write counter block.  A later same-page entry
-        // reads the earlier one's update exactly as the sequential path
-        // would.
+        // Pass 1, in order: data/MAC/counter writes, snapshotting each
+        // entry's post-write counter block.  A later same-page entry reads
+        // the earlier one's update exactly as the sequential path would.
         let mut pages: Vec<(u64, [u8; 64])> = Vec::with_capacity(entries.len());
-        for (entry, &tag64) in entries.iter().zip(&tags) {
+        for ((entry, ct), &tag64) in entries.iter().zip(&cts).zip(&tags) {
             let block = entry.block;
             let page = NvmStore::page_of(block);
             let slot = NvmStore::page_slot_of(block);
-            self.nvm.write_data(block, entry.ciphertext);
+            self.nvm.write_data(block, *ct);
             self.nvm.write_mac(block, tag64);
             let mut cb = self.nvm.read_counters(page);
             cb.set_counter(slot, entry.counter);
-            self.nvm.write_counters(page, cb.clone());
             pages.push((page, cb.to_bytes()));
+            self.nvm.write_counters(page, cb);
         }
-        // One multi-lane dispatch covers every counter digest the burst
-        // needs; memo lookups and inserts stay in drain order.
         let mut digests = Vec::with_capacity(pages.len());
         self.counter_digest_batch(&pages, &mut digests);
-        // Pass 2, in drain order: leaf updates against the snapshotted
-        // digests.  Same-page entries update the leaf once per entry with
-        // the same digest sequence as sequential flushing, so the final
-        // tree state and per-entry hash counts are identical.
-        entries
-            .iter()
-            .zip(&digests)
-            .map(|(entry, &digest)| {
-                let mut rec = FlushRecord {
-                    mac_generated: !entry.valid.mac,
-                    ..FlushRecord::default()
-                };
-                let page = NvmStore::page_of(entry.block);
-                rec.tree_hashes = self.tree.update_leaf(page, digest);
-                self.persist_root();
-                rec
-            })
-            .collect()
+        // Pass 2, in order: leaf updates against the snapshotted digests.
+        // Same-page entries update the leaf once per entry with the same
+        // digest sequence as sequential flushing, so the final tree state
+        // and per-entry hash counts are identical.
+        for (rec, (&(page, _), &digest)) in recs.iter_mut().zip(pages.iter().zip(&digests)) {
+            rec.tree_hashes = self.tree.update_leaf(page, digest);
+            self.persist_root();
+        }
+        recs
     }
 
     /// Persists a block's full tuple from the golden state with an
     /// already-incremented counter — the per-store kernel shared by the
-    /// SP baseline and the eADR writeback path.  Returns the BMT hashes
-    /// charged by the leaf update.
+    /// SP baseline and the eADR writeback path, a one-entry
+    /// [`flush`](Self::flush).  Returns the BMT hashes charged by the
+    /// leaf update.
     pub(crate) fn persist_with_counter(&mut self, block: BlockAddr, ctr: SplitCounter) -> u64 {
-        let page = NvmStore::page_of(block);
-        let slot = NvmStore::page_slot_of(block);
-        let pt = self.golden.get(&block).copied().unwrap_or([0u8; 64]);
-        let ct = self.otp_engine.encrypt(&pt, block.index(), ctr);
-        let mac = self.mac_engine.compute(&ct, block.index(), ctr);
-        self.nvm.write_data(block, ct);
-        self.nvm.write_mac(block, mac.truncate_u64());
-        let mut cb = self.nvm.read_counters(page);
-        cb.set_counter(slot, ctr);
-        self.nvm.write_counters(page, cb.clone());
-        let digest = self.counter_digest(page, &cb);
-        let hashes = self.tree.update_leaf(page, digest);
-        self.persist_root();
-        hashes
+        let mut entry = Entry::new(block, Asid(0), self.expected_plaintext(block), 0);
+        entry.counter = ctr;
+        entry.valid.counter = true;
+        self.flush(std::slice::from_ref(&entry), true)[0].tree_hashes
     }
 
     /// [`persist_with_counter`](Self::persist_with_counter) preceded by a
@@ -577,13 +533,65 @@ mod tests {
         .into_reference();
         let block = Address(0x1000).block();
         d.golden.insert(block, [3u8; 64]);
-        let entry = Entry::new(block, secpb_sim::addr::Asid(0), [3u8; 64], 0);
-        let rec = d.flush_entry(entry, true);
-        assert!(rec.counter_incremented && rec.otp_generated);
-        assert!(rec.ciphertext_generated && rec.mac_generated);
+        let mut entry = Entry::new(block, Asid(0), [3u8; 64], 0);
+        entry.counter = d.increment_raw(block);
+        entry.valid.counter = true;
+        let rec = d.flush(std::slice::from_ref(&entry), true)[0];
+        assert!(rec.otp_generated && rec.ciphertext_generated && rec.mac_generated);
+        assert!(rec.tree_hashes > 0);
         // Insecure flush does no metadata work at all.
-        let entry = Entry::new(block, secpb_sim::addr::Asid(0), [3u8; 64], 0);
-        assert_eq!(d.flush_entry(entry, false), FlushRecord::default());
+        let entry = Entry::new(block, Asid(0), [3u8; 64], 0);
+        assert_eq!(d.flush(&[entry], false), vec![FlushRecord::default()]);
+    }
+
+    #[test]
+    fn batched_flush_matches_one_entry_flushes() {
+        // A burst of same- and cross-page entries with a mix of early
+        // work must leave the same durable state, records and memo
+        // accounting as flushing the entries one at a time.
+        let domain = || {
+            PersistDomain::new(
+                DomainKeys::SECPB,
+                TreeKind::Monolithic,
+                8,
+                11,
+                PersistencePolicy::default(),
+            )
+        };
+        let (mut batched, mut single) = (domain(), domain());
+        let mut entries = Vec::new();
+        for (i, addr) in [0x1000u64, 0x1040, 0x9000, 0x1080, 0x9040]
+            .into_iter()
+            .enumerate()
+        {
+            let block = Address(addr).block();
+            let mut entry = Entry::new(block, Asid(0), [i as u8 + 1; 64], i as u64);
+            entry.counter = batched.increment_raw(block);
+            single.increment_raw(block);
+            entry.valid.counter = true;
+            if i % 2 == 1 {
+                entry.otp = batched.otp_engine.generate(block.index(), entry.counter);
+                entry.valid.otp = true;
+                entry.ciphertext = OtpEngine::apply_pad(&entry.plaintext, &entry.otp);
+                entry.valid.ciphertext = true;
+            }
+            entries.push(entry);
+        }
+        let recs = batched.flush(&entries, true);
+        let singles: Vec<FlushRecord> = entries
+            .iter()
+            .map(|e| single.flush(std::slice::from_ref(e), true)[0])
+            .collect();
+        assert_eq!(recs, singles);
+        batched.sync_root(true);
+        single.sync_root(true);
+        let image = |d: &PersistDomain| {
+            let mut w = WireWriter::new();
+            d.encode_into(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(image(&batched), image(&single));
+        assert_eq!(batched.ctr_digests.stats(), single.ctr_digests.stats());
     }
 
     #[test]

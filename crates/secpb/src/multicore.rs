@@ -407,8 +407,12 @@ impl MultiCoreSystem {
         self.domain.resync_lost(lost, true);
     }
 
-    fn flush_entry(&mut self, entry: Entry) {
-        self.domain.flush_entry(entry, true);
+    fn flush_entry(&mut self, mut entry: Entry) {
+        if !entry.valid.counter {
+            entry.counter = self.domain.increment_raw(entry.block);
+            entry.valid.counter = true;
+        }
+        self.domain.flush(std::slice::from_ref(&entry), true);
         self.stats.bump("mc.flushes");
     }
 }

@@ -6,12 +6,12 @@
 //! (Figure 4's dependency chain `counter → {OTP → ciphertext → MAC,
 //! BMT}`): each flag that is set runs its step at store-persist time and
 //! marks the entry field valid; each flag that is clear leaves the step
-//! for drain time (`SecureSystem::flush_entry`) or the post-crash
+//! for drain time (`SecureSystem::flush_entries`) or the post-crash
 //! sec-sync.  The only scheme identities consulted are capability
 //! predicates on [`Scheme`] (store-release serialization for NoGap, the
 //! double buffer access for OBCM, SecPB use at all for SP).
 
-use secpb_crypto::counter::{IncrementOutcome, SplitCounter};
+use secpb_crypto::counter::{IncrementOutcome, SplitCounter, MINOR_MAX};
 use secpb_crypto::otp::OtpEngine;
 use secpb_mem::cache::LineState;
 use secpb_mem::hierarchy::HitLevel;
@@ -278,8 +278,7 @@ impl SecureSystem {
     /// Drains the `n` oldest entries as one burst.  Per-entry timing,
     /// stats, and spans run in drain order exactly as `n` calls to
     /// [`drain_one`](Self::drain_one) would; the functional flushes are
-    /// handed to [`flush_entries`](Self::flush_entries) so runs of
-    /// fully-resolved entries share one multi-lane MAC dispatch.
+    /// handed to [`flush_entries`](Self::flush_entries) as one batch.
     fn drain_burst(&mut self, now: Cycle, n: usize) {
         let mut pending: Vec<Entry> = Vec::with_capacity(n);
         for _ in 0..n {
@@ -302,43 +301,52 @@ impl SecureSystem {
         self.flush_entries(pending);
     }
 
-    /// Flushes drained entries in order, batching maximal runs whose
-    /// counter and ciphertext are already resolved (no state left to
-    /// generate besides the stateless MAC) through the domain's
-    /// multi-lane batch kernel; anything else falls back to the
-    /// one-entry path at its position in the order.
+    /// Applies drained entries' memory-tuple updates to the durable state,
+    /// in drain order: resolves late counters through the overflow-aware
+    /// [`increment_logical`](Self::increment_logical), hands the entries
+    /// to the domain's flush kernel, and translates the returned
+    /// [`crate::domain::FlushRecord`]s into typed stats.  The pending run
+    /// is flushed before any increment that wraps a minor counter, so the
+    /// page re-encryption sees exactly the NVM state one-by-one flushing
+    /// leaves.
     fn flush_entries(&mut self, entries: Vec<Entry>) {
-        if !self.scheme.is_secure() {
-            for entry in entries {
-                self.domain.flush_entry(entry, false);
+        let mut run: Vec<Entry> = Vec::with_capacity(entries.len());
+        for mut entry in entries {
+            if self.scheme.is_secure() && !entry.valid.counter {
+                if self.increment_wraps(entry.block) {
+                    self.flush_run(&run);
+                    run.clear();
+                }
+                entry.counter = self.increment_logical(entry.block);
+                entry.valid.counter = true;
             }
-            return;
+            run.push(entry);
         }
-        let mut ready: Vec<Entry> = Vec::new();
-        for entry in entries {
-            if entry.valid.counter && entry.valid.ciphertext {
-                ready.push(entry);
-            } else {
-                self.flush_ready_run(&ready);
-                ready.clear();
-                self.flush_entry(entry);
-            }
-        }
-        self.flush_ready_run(&ready);
+        self.flush_run(&run);
     }
 
-    fn flush_ready_run(&mut self, run: &[Entry]) {
-        if run.is_empty() {
+    fn flush_run(&mut self, run: &[Entry]) {
+        let secure = self.scheme.is_secure();
+        let recs = self.domain.flush(run, secure);
+        if !secure {
             return;
         }
-        let recs = self.domain.flush_ready_batch(run);
         for (entry, rec) in run.iter().zip(&recs) {
+            if rec.otp_generated {
+                self.stats.inc(self.h.otps);
+            }
+            if rec.ciphertext_generated {
+                self.stats.inc(self.h.ciphertexts);
+            }
             if rec.mac_generated {
                 self.stats.inc(self.h.macs);
             }
             self.stats.inc(self.h.bmt_root_updates);
             self.stats.add(self.h.bmt_node_hashes, rec.tree_hashes);
             if !entry.valid.bmt {
+                // Only schemes that left the BMT update *late* charge
+                // these hashes to the drain (battery) budget; eager
+                // schemes already paid at store time.
                 self.stats.add(self.h.late_bmt_node_hashes, rec.tree_hashes);
             }
         }
@@ -363,7 +371,7 @@ impl SecureSystem {
     }
 
     /// Drains one entry: timing through the drain engine, function through
-    /// [`flush_entry`](Self::flush_entry).
+    /// a one-entry [`flush_entries`](Self::flush_entries).
     pub(crate) fn drain_one(
         &mut self,
         block: BlockAddr,
@@ -381,7 +389,7 @@ impl SecureSystem {
         self.stats
             .record(self.h.entry_lifetime, now.since(entry.born));
         self.stats.record(self.h.writes_per_entry, entry.stores);
-        self.flush_entry(entry);
+        self.flush_entries(vec![entry]);
         self.stats.inc(self.h.drains);
         Ok(completion)
     }
@@ -565,6 +573,16 @@ impl SecureSystem {
         walk
     }
 
+    /// Whether the next increment of `block`'s counter wraps its minor
+    /// counter (and so re-encrypts the page).
+    fn increment_wraps(&self, block: BlockAddr) -> bool {
+        let slot = NvmStore::page_slot_of(block);
+        self.domain
+            .counters
+            .get(&NvmStore::page_of(block))
+            .is_some_and(|cb| cb.counter_of(slot).minor == MINOR_MAX)
+    }
+
     /// Increments the logical counter of `block`, handling page overflow
     /// (re-encryption).
     pub(crate) fn increment_logical(&mut self, block: BlockAddr) -> SplitCounter {
@@ -646,45 +664,6 @@ impl SecureSystem {
             e.valid.ciphertext = false;
             e.valid.mac = false;
             e.mac = None;
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Functional flush (drain completion)
-    // ---------------------------------------------------------------
-
-    /// Applies an entry's full memory-tuple update to the durable state:
-    /// the single-core front pre-fills the counter through the
-    /// overflow-aware [`increment_logical`](Self::increment_logical),
-    /// delegates the tuple write to the domain kernel, and translates the
-    /// returned [`crate::domain::FlushRecord`] into its typed stats.
-    pub(crate) fn flush_entry(&mut self, mut entry: Entry) {
-        if !self.scheme.is_secure() {
-            self.domain.flush_entry(entry, false);
-            return;
-        }
-        let late_bmt = !entry.valid.bmt;
-        if !entry.valid.counter {
-            entry.counter = self.increment_logical(entry.block);
-            entry.valid.counter = true;
-        }
-        let rec = self.domain.flush_entry(entry, true);
-        if rec.otp_generated {
-            self.stats.inc(self.h.otps);
-        }
-        if rec.ciphertext_generated {
-            self.stats.inc(self.h.ciphertexts);
-        }
-        if rec.mac_generated {
-            self.stats.inc(self.h.macs);
-        }
-        self.stats.inc(self.h.bmt_root_updates);
-        self.stats.add(self.h.bmt_node_hashes, rec.tree_hashes);
-        if late_bmt {
-            // Only schemes that left the BMT update *late* charge these
-            // hashes to the drain (battery) budget; eager schemes already
-            // paid at store time.
-            self.stats.add(self.h.late_bmt_node_hashes, rec.tree_hashes);
         }
     }
 

@@ -2,13 +2,12 @@
 //! kernels are a pure performance feature, so every digest must be
 //! byte-identical no matter which kernel computed it.
 //!
-//! Scalar is the reference kernel.  MultiBlock (4-lane interleaved
-//! SHA-512 schedule) and HwCrypto (AES-NI + vectorized hash when the
-//! `hw-crypto` feature is compiled in and the ISA is detected; graceful
-//! scalar fallback otherwise) must agree with it.  The sweep always runs
-//! all three — on hosts without the feature or the ISA the hw kernel
-//! exercises its fallback path, which is exactly the behaviour the
-//! fallback must get right.  The system-level checks (grid JSON,
+//! Scalar is the reference kernel.  Native (4-lane SHA-512 and batched
+//! AES, through the AES-NI/AVX2 kernels where runtime detection finds
+//! the ISA and the portable engines otherwise) must agree with it.  On
+//! hosts without the ISA the sweep exercises the portable fallback,
+//! which is exactly the behaviour the fallback must get right; the
+//! `secpb-crypto` unit tests pin each detected kernel to its fallback.  The system-level checks (grid JSON,
 //! crash/recovery verdicts, telemetry parity) run the production path
 //! against the eager `Scalar` reference inside `secpb-core`
 //! (`reference_tests`).
@@ -19,7 +18,7 @@
 
 use secpb::core::arena::EntryArena;
 use secpb::core::entry::Entry;
-use secpb::crypto::backend::{CryptoBackend, HashBackend};
+use secpb::crypto::backend::CryptoBackend;
 use secpb::crypto::sha512::{digest64_batch, Sha512};
 use secpb::sim::addr::{Asid, BlockAddr};
 
@@ -60,7 +59,7 @@ fn fuzzed_digest_batches_agree_across_backends() {
                 got,
                 expected,
                 "{} backend diverged on a {batch_len}-message batch",
-                HashBackend::name(&backend)
+                backend.name()
             );
         }
     }
@@ -68,15 +67,27 @@ fn fuzzed_digest_batches_agree_across_backends() {
 
 #[test]
 fn hw_backend_reports_detection_consistently() {
-    // auto() must resolve to HwCrypto exactly when hw_available() says
-    // so; on every other host it must be MultiBlock.  Either way the
-    // digest sweep above and the reference suite in `secpb-core` pin its
-    // output to the scalar reference.
-    if CryptoBackend::hw_available() {
-        assert_eq!(CryptoBackend::auto(), CryptoBackend::HwCrypto);
-    } else {
-        assert_eq!(CryptoBackend::auto(), CryptoBackend::MultiBlock);
-    }
+    // auto() is always the native backend; its name must say which
+    // kernels runtime detection picked, never a fixed label.  Either way
+    // the digest sweep above and the reference suite in `secpb-core` pin
+    // its output to the scalar reference.
+    let auto = CryptoBackend::auto();
+    assert_eq!(auto, CryptoBackend::Native);
+    let name = auto.name();
+    assert_eq!(
+        name.contains("aesni"),
+        CryptoBackend::aes_ni_available(),
+        "{name}"
+    );
+    assert_eq!(
+        name.contains("avx2"),
+        CryptoBackend::simd_hash_available(),
+        "{name}"
+    );
+    assert_eq!(
+        name == "portable",
+        !CryptoBackend::aes_ni_available() && !CryptoBackend::simd_hash_available()
+    );
 }
 
 #[test]
