@@ -834,7 +834,8 @@ struct ShardState {
     /// Checkpoint cadence in epochs (`0` = off).
     checkpoint_every: u64,
     checkpoint: Option<ShardCheckpoint>,
-    /// Batches processed since the last checkpoint — the replay log.
+    /// Batches processed since the last checkpoint — the replay log
+    /// (always empty with checkpointing off).
     journal: Vec<EpochBatch>,
     /// Batches still being replayed after a restore; while non-zero the
     /// crash trigger is disarmed so recovery always makes progress.
@@ -853,10 +854,14 @@ impl ShardState {
         if replaying {
             self.replay_pending -= 1;
         }
-        // The journal must always hold exactly the batches processed
-        // since the last checkpoint — replayed batches included, so a
-        // second crash during a replay still has a complete log.
-        self.journal.push(batch.clone());
+        // With checkpointing on, the journal must always hold exactly
+        // the batches processed since the last checkpoint — replayed
+        // batches included, so a second crash during a replay still has
+        // a complete log.  With it off nothing can rewind, so nothing is
+        // journaled.
+        if self.checkpoint_every > 0 {
+            self.journal.push(batch.clone());
+        }
 
         // Brown-out degradation: during an affected epoch, parts whose
         // class the budget cannot fund are deferred — bronze first,
@@ -1580,11 +1585,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn qos_violations_name_tenant_class_and_epoch() {
-        // Hand-feed a shard an oversized part to exercise the data-plane
-        // re-check (the ingest layer never produces one).
-        let mut state = ShardState {
+    /// A hand-built single-tenant (`bob`, ASID 1, bronze) COBCM/DBMF
+    /// shard, for feeding [`ShardState::process`] batches directly.
+    fn bob_shard(quota: u64, checkpoint_every: u64) -> ShardState {
+        ShardState {
             sys: Box::new(SecureSystem::with_tree(
                 SystemConfig::default(),
                 Scheme::Cobcm,
@@ -1599,7 +1603,7 @@ mod tests {
                 asid: 1,
                 name: "bob".into(),
                 qos: QosClass::Bronze,
-                quota: 2,
+                quota,
             }],
             epochs: 0,
             items: 0,
@@ -1613,13 +1617,20 @@ mod tests {
             deferred: Vec::new(),
             shed: 0,
             fault_clock: None,
-            checkpoint_every: 0,
+            checkpoint_every,
             checkpoint: None,
             journal: Vec::new(),
             replay_pending: 0,
             replayed: 0,
             restored: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn qos_violations_name_tenant_class_and_epoch() {
+        // Hand-feed a shard an oversized part to exercise the data-plane
+        // re-check (the ingest layer never produces one).
+        let mut state = bob_shard(2, 0);
         let items: Vec<TraceItem> =
             TraceGenerator::new(WorkloadProfile::named("gamess").unwrap(), 7)
                 .generate(200)
@@ -1643,6 +1654,44 @@ mod tests {
             text.contains("bob") && text.contains("bronze") && text.contains("epoch 5"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn no_checkpointing_means_no_journal() {
+        // Shard level: with checkpointing off nothing can rewind, so the
+        // journal stays empty; with it on it holds the batches since the
+        // last checkpoint.  Both shards end in the identical state.
+        let items =
+            TraceGenerator::new(WorkloadProfile::named("gamess").unwrap(), 7).generate(2_000);
+        let mut off = bob_shard(64, 0);
+        let mut on = bob_shard(64, 2);
+        on.take_checkpoint();
+        for (epoch, chunk) in items.chunks(64).take(5).enumerate() {
+            for state in [&mut off, &mut on] {
+                state.process(EpochBatch {
+                    epoch: epoch as u64,
+                    parts: vec![(1, chunk.to_vec())],
+                });
+            }
+        }
+        assert!(off.journal.is_empty());
+        assert_eq!(
+            on.journal.len(),
+            1,
+            "epoch 5 follows the epoch-4 checkpoint"
+        );
+        assert_eq!(off.sys.stats(), on.sys.stats());
+        assert_eq!(off.sys.finish_time(), on.sys.finish_time());
+
+        // Service level: turning checkpoints off changes no shard digest.
+        let with = run_serve(&two_tenant_cfg(2)).unwrap();
+        let mut cfg = two_tenant_cfg(2);
+        cfg.checkpoint_every = 0;
+        let without = run_serve(&cfg).unwrap();
+        let digests = |out: &ServeOutcome| -> Vec<String> {
+            out.shards.iter().map(ShardOutcome::digest).collect()
+        };
+        assert_eq!(digests(&without), digests(&with));
     }
 
     #[test]

@@ -98,6 +98,12 @@ pub struct Cache {
     /// of the *host*, where the nested per-set `Vec` layout paid a
     /// pointer chase per simulated access.
     lines: Vec<Option<Line>>,
+    /// One bit per way of `lines`, set iff that way holds a line.  The
+    /// access path only ORs a bit in on a fill; the whole-cache walks
+    /// (occupancy, residency, clearing and the checkpoint codec) visit
+    /// set bits instead of every way, so they cost the resident lines,
+    /// not the geometry.
+    valid: Vec<u64>,
     sets: usize,
     ways: usize,
     /// `log2(sets)` when the set count is a power of two (every Table I
@@ -117,8 +123,14 @@ impl Cache {
         } else {
             u32::MAX
         };
+        let n = sets * config.ways;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a cache's way count must fit the u32 checkpoint index"
+        );
         Cache {
-            lines: vec![None; sets * config.ways],
+            lines: vec![None; n],
+            valid: vec![0; n.div_ceil(64)],
             sets,
             ways: config.ways,
             set_shift,
@@ -198,12 +210,14 @@ impl Cache {
         self.stats.misses += 1;
 
         // Fill path: free way if available.
-        if let Some(slot) = set.iter_mut().find(|w| w.is_none()) {
-            *slot = Some(Line {
+        if let Some(way) = set.iter().position(Option::is_none) {
+            set[way] = Some(Line {
                 tag,
                 state: fill_state,
                 last_use: clock,
             });
+            let i = base + way;
+            self.valid[i / 64] |= 1 << (i % 64);
             return AccessOutcome {
                 hit: false,
                 evicted: None,
@@ -253,12 +267,12 @@ impl Cache {
         let set_idx = self.set_index(block);
         let tag = self.tag(block);
         let base = set_idx * self.ways;
-        for way in self.lines[base..base + self.ways].iter_mut() {
-            if way.as_ref().is_some_and(|l| l.tag == tag) {
-                return way.take().map(|l| l.state);
-            }
-        }
-        None
+        let way = self.lines[base..base + self.ways]
+            .iter()
+            .position(|w| w.as_ref().is_some_and(|l| l.tag == tag))?;
+        let i = base + way;
+        self.valid[i / 64] &= !(1 << (i % 64));
+        self.lines[i].take().map(|l| l.state)
     }
 
     /// Overwrites the state of a resident block; no-op if absent.
@@ -277,21 +291,45 @@ impl Cache {
 
     /// Number of resident blocks.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().flatten().count()
+        self.valid.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterates over all resident blocks and their states.
-    pub fn resident(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        self.lines.iter().enumerate().filter_map(move |(i, way)| {
-            way.as_ref()
-                .map(|l| (self.block_from(i / self.ways, l.tag), l.state))
+    /// Flat indices of the occupied ways, ascending.
+    fn live_ways(&self) -> impl Iterator<Item = usize> + '_ {
+        self.valid.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    word * 64 + bit
+                })
+            })
         })
     }
 
-    /// Appends the dynamic state — LRU clock, statistics, and every way
-    /// in flat set-major order — to a checkpoint.  Geometry is *not*
-    /// serialised; [`restore_from`](Self::restore_from) requires a cache
-    /// already built with the same [`CacheConfig`].
+    fn live_line(&self, i: usize) -> &Line {
+        self.lines[i]
+            .as_ref()
+            .expect("valid bit marks an occupied way")
+    }
+
+    /// Iterates over all resident blocks and their states, in flat
+    /// set-major way order.
+    pub fn resident(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
+        self.live_ways().map(move |i| {
+            let l = self.live_line(i);
+            (self.block_from(i / self.ways, l.tag), l.state)
+        })
+    }
+
+    /// Appends the dynamic state — LRU clock, statistics, the way count,
+    /// and each occupied way as `(index, tag, state, stamp)` in ascending
+    /// flat set-major order — to a checkpoint.  Empty ways are not
+    /// written, so the section costs the resident lines, not the
+    /// geometry.  Geometry is *not* serialised either;
+    /// [`restore_from`](Self::restore_from) requires a cache already
+    /// built with the same [`CacheConfig`].
     pub fn encode_into(&self, w: &mut WireWriter) {
         w.u64(self.use_clock);
         w.u64(self.stats.hits);
@@ -299,60 +337,73 @@ impl Cache {
         w.u64(self.stats.dirty_evictions);
         w.u64(self.stats.silent_evictions);
         w.usize(self.lines.len());
-        for way in &self.lines {
-            match way {
-                Some(line) => {
-                    w.bool(true);
-                    w.u64(line.tag);
-                    w.u8(match line.state {
-                        LineState::Clean => 0,
-                        LineState::Dirty => 1,
-                        LineState::PersistDirty => 2,
-                    });
-                    w.u64(line.last_use);
-                }
-                None => w.bool(false),
-            }
+        w.usize(self.occupancy());
+        for i in self.live_ways() {
+            let line = self.live_line(i);
+            w.u32(i as u32);
+            w.u64(line.tag);
+            w.u8(match line.state {
+                LineState::Clean => 0,
+                LineState::Dirty => 1,
+                LineState::PersistDirty => 2,
+            });
+            w.u64(line.last_use);
         }
     }
 
     /// Overlays dynamic state captured by [`encode_into`](Self::encode_into)
-    /// onto this cache.
+    /// onto this cache: every way is emptied, then the encoded live ways
+    /// are installed.
     ///
     /// # Errors
     ///
     /// Fails if the encoded way count does not match this cache's
-    /// geometry, on an unknown line-state discriminant, or on truncation.
+    /// geometry, on a live count the remaining input cannot hold, on a
+    /// way index that is out of range or not strictly ascending, on an
+    /// unknown line-state discriminant, or on truncation.
     pub fn restore_from(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
-        self.use_clock = r.u64()?;
-        self.stats = CacheStats {
+        let use_clock = r.u64()?;
+        let stats = CacheStats {
             hits: r.u64()?,
             misses: r.u64()?,
             dirty_evictions: r.u64()?,
             silent_evictions: r.u64()?,
         };
-        let n = r.seq_len(1)?;
-        if n != self.lines.len() {
+        if r.usize()? != self.lines.len() {
             return Err(r.malformed("cache way count does not match geometry"));
         }
-        for way in self.lines.iter_mut() {
-            *way = if r.bool()? {
-                let tag = r.u64()?;
-                let state = match r.u8()? {
-                    0 => LineState::Clean,
-                    1 => LineState::Dirty,
-                    2 => LineState::PersistDirty,
-                    _ => return Err(r.malformed("unknown cache line state")),
-                };
-                let last_use = r.u64()?;
-                Some(Line {
-                    tag,
-                    state,
-                    last_use,
-                })
-            } else {
-                None
+        let live = r.seq_len(LIVE_WAY_BYTES)?;
+        self.clear();
+        self.use_clock = use_clock;
+        self.stats = stats;
+        let mut next = 0;
+        for _ in 0..live {
+            let at = r.offset();
+            let i = r.u32()? as usize;
+            if i < next || i >= self.lines.len() {
+                return Err(WireError::Malformed {
+                    offset: at,
+                    what: format!(
+                        "cache way index {i} out of order or beyond {} ways",
+                        self.lines.len()
+                    ),
+                });
+            }
+            next = i + 1;
+            let tag = r.u64()?;
+            let state = match r.u8()? {
+                0 => LineState::Clean,
+                1 => LineState::Dirty,
+                2 => LineState::PersistDirty,
+                _ => return Err(r.malformed("unknown cache line state")),
             };
+            let last_use = r.u64()?;
+            self.lines[i] = Some(Line {
+                tag,
+                state,
+                last_use,
+            });
+            self.valid[i / 64] |= 1 << (i % 64);
         }
         Ok(())
     }
@@ -360,15 +411,24 @@ impl Cache {
     /// Drops every line (used when modelling a power cycle of volatile
     /// caches).
     pub fn clear(&mut self) {
-        for way in self.lines.iter_mut() {
-            *way = None;
+        for (word, bits) in self.valid.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                self.lines[word * 64 + bits.trailing_zeros() as usize] = None;
+                bits &= bits - 1;
+            }
         }
     }
 }
 
+/// Encoded size of one live way: `u32` index, `u64` tag, `u8` state,
+/// `u64` LRU stamp.
+const LIVE_WAY_BYTES: usize = 4 + 8 + 1 + 8;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secpb_sim::rng::Rng;
 
     fn small() -> Cache {
         // 2 sets, 2 ways.
@@ -531,6 +591,145 @@ mod tests {
         assert!(small()
             .restore_from(&mut WireReader::new(&bytes[..bytes.len() - 1]))
             .is_err());
+    }
+
+    /// A Table I L1: 64 KB, 8-way, 64-byte blocks (1,024 ways).
+    fn table1_l1() -> Cache {
+        Cache::new(CacheConfig::new(64 << 10, 8, 64, 2))
+    }
+
+    fn encoded(c: &Cache) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        c.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn random_state(rng: &mut Rng) -> LineState {
+        [LineState::Clean, LineState::Dirty, LineState::PersistDirty][rng.below(3) as usize]
+    }
+
+    /// One random operation: mostly accesses, some invalidations and
+    /// state overwrites, and a rare clear.
+    fn random_op(c: &mut Cache, rng: &mut Rng, blocks: u64) {
+        let block = BlockAddr(rng.below(blocks));
+        match rng.below(100) {
+            0 => c.clear(),
+            1..=15 => {
+                c.invalidate(block);
+            }
+            16..=30 => c.set_state(block, random_state(rng)),
+            _ => {
+                c.access(block, random_state(rng));
+            }
+        }
+    }
+
+    #[test]
+    fn codec_model_check_against_naive_walks() {
+        for (name, fresh) in [("tiny", small as fn() -> Cache), ("table1-l1", table1_l1)] {
+            let ways = fresh().lines.len() as u64;
+            for seed in 0..6u64 {
+                let mut rng = Rng::seed_from(seed ^ ways);
+                let mut c = fresh();
+                // A restore target already holding unrelated lines, so
+                // restore must clear stale ways through the bitmap.
+                let mut target = fresh();
+                for _ in 0..ways {
+                    random_op(&mut target, &mut rng, 4 * ways);
+                }
+                for step in 0..(4 * ways).max(400) {
+                    random_op(&mut c, &mut rng, 4 * ways);
+                    let naive: Vec<_> = c
+                        .lines
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, w)| {
+                            w.as_ref()
+                                .map(|l| (c.block_from(i / c.ways, l.tag), l.state))
+                        })
+                        .collect();
+                    assert_eq!(c.occupancy(), naive.len(), "{name} seed {seed} step {step}");
+                    assert_eq!(
+                        c.resident().collect::<Vec<_>>(),
+                        naive,
+                        "{name} seed {seed} step {step}"
+                    );
+                    let bytes = encoded(&c);
+                    target
+                        .restore_from(&mut WireReader::new(&bytes))
+                        .expect("restore");
+                    assert_eq!(encoded(&target), bytes, "{name} seed {seed} step {step}");
+                }
+                for _ in 0..1_000 {
+                    let block = BlockAddr(rng.below(4 * ways));
+                    let state = random_state(&mut rng);
+                    assert_eq!(c.access(block, state), target.access(block, state));
+                }
+                assert_eq!(c.stats(), target.stats());
+                assert_eq!(encoded(&c), encoded(&target));
+            }
+        }
+    }
+
+    /// Byte offset of live way `k`'s record: five `u64` scalars, the way
+    /// count and the live count precede the first.
+    fn live_way_at(k: usize) -> usize {
+        7 * 8 + k * LIVE_WAY_BYTES
+    }
+
+    #[test]
+    fn corrupted_cache_sections_are_rejected() {
+        let mut c = small();
+        c.access(BlockAddr(0), LineState::Dirty);
+        c.access(BlockAddr(1), LineState::Clean);
+        c.access(BlockAddr(2), LineState::PersistDirty);
+        let bytes = encoded(&c);
+        assert_eq!(bytes.len(), live_way_at(3));
+        let restore = |b: &[u8]| small().restore_from(&mut WireReader::new(b));
+        restore(&bytes).expect("the clean image restores");
+
+        let patched = |at: usize, new: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + new.len()].copy_from_slice(new);
+            b
+        };
+        let first = u32::from_le_bytes(bytes[live_way_at(0)..][..4].try_into().unwrap());
+        let cases = [
+            (
+                "out-of-order index",
+                patched(live_way_at(1), &first.to_le_bytes()),
+            ),
+            (
+                "index beyond the ways",
+                patched(live_way_at(2), &4u32.to_le_bytes()),
+            ),
+            ("state byte 3", patched(live_way_at(0) + 4 + 8, &[3])),
+            (
+                "live count beyond the input",
+                patched(6 * 8, &4u64.to_le_bytes()),
+            ),
+        ];
+        for (what, b) in cases {
+            assert!(
+                matches!(restore(&b), Err(WireError::Malformed { .. })),
+                "{what}: {:?}",
+                restore(&b)
+            );
+        }
+        let mut bigger = Cache::new(CacheConfig::new(512, 2, 64, 1));
+        assert!(matches!(
+            bigger.restore_from(&mut WireReader::new(&bytes)),
+            Err(WireError::Malformed { .. })
+        ));
+        // Every truncation fails cleanly.
+        for len in 0..bytes.len() {
+            assert!(restore(&bytes[..len]).is_err(), "accepted {len} bytes");
+        }
+    }
+
+    #[test]
+    fn an_empty_cache_encodes_its_header_only() {
+        assert_eq!(encoded(&table1_l1()).len(), live_way_at(0));
     }
 
     #[test]

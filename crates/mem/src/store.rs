@@ -124,21 +124,21 @@ impl NvmStore {
     /// sorted key order so equal stores always produce equal bytes.
     pub fn encode_into(&self, w: &mut WireWriter) {
         let mut data: Vec<_> = self.data.iter().collect();
-        data.sort_by_key(|(b, _)| b.index());
+        data.sort_unstable_by_key(|(b, _)| b.index());
         w.usize(data.len());
         for (block, bytes) in data {
             w.u64(block.index());
             w.raw(bytes);
         }
         let mut counters: Vec<_> = self.counters.iter().collect();
-        counters.sort_by_key(|&(page, _)| *page);
+        counters.sort_unstable_by_key(|&(page, _)| *page);
         w.usize(counters.len());
         for (page, cb) in counters {
             w.u64(*page);
             w.raw(&cb.to_bytes());
         }
         let mut macs: Vec<_> = self.macs.iter().collect();
-        macs.sort_by_key(|(b, _)| b.index());
+        macs.sort_unstable_by_key(|(b, _)| b.index());
         w.usize(macs.len());
         for (block, mac) in macs {
             w.u64(block.index());
@@ -159,30 +159,37 @@ impl NvmStore {
     ///
     /// Propagates truncation/malformation with the byte offset.
     pub fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut store = NvmStore::new();
         let n = r.seq_len(8 + 64)?;
+        let mut data = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let block = BlockAddr(r.u64()?);
-            store.data.insert(block, r.array::<64>()?);
+            data.insert(block, r.array::<64>()?);
         }
         let n = r.seq_len(8 + 64)?;
+        let mut counters = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let page = r.u64()?;
             let bytes = r.array::<64>()?;
-            store
-                .counters
-                .insert(page, CounterBlock::from_bytes(&bytes));
+            counters.insert(page, CounterBlock::from_bytes(&bytes));
         }
         let n = r.seq_len(8 + 8)?;
+        let mut macs = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let block = BlockAddr(r.u64()?);
             let mac = r.u64()?;
-            store.macs.insert(block, mac);
+            macs.insert(block, mac);
         }
-        if r.bool()? {
-            store.bmt_root = Some(Digest(r.array::<64>()?));
-        }
-        Ok(store)
+        let bmt_root = if r.bool()? {
+            Some(Digest(r.array::<64>()?))
+        } else {
+            None
+        };
+        Ok(NvmStore {
+            data,
+            counters,
+            macs,
+            bmt_root,
+        })
     }
 
     // ---- Tamper injection (attack modelling for recovery tests) ----

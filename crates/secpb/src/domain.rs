@@ -449,14 +449,14 @@ impl PersistDomain {
     /// simply clears them.
     pub(crate) fn encode_into(&self, w: &mut WireWriter) {
         let mut golden: Vec<_> = self.golden.iter().collect();
-        golden.sort_by_key(|(b, _)| b.index());
+        golden.sort_unstable_by_key(|(b, _)| b.index());
         w.usize(golden.len());
         for (block, bytes) in golden {
             w.u64(block.index());
             w.raw(bytes);
         }
         let mut counters: Vec<_> = self.counters.iter().collect();
-        counters.sort_by_key(|&(page, _)| *page);
+        counters.sort_unstable_by_key(|&(page, _)| *page);
         w.usize(counters.len());
         for (page, cb) in counters {
             w.u64(*page);
@@ -471,13 +471,13 @@ impl PersistDomain {
     /// engine, key seed).
     pub(crate) fn restore_from(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         let n = r.seq_len(8 + 64)?;
-        let mut golden = FxHashMap::default();
+        let mut golden = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let block = BlockAddr(r.u64()?);
             golden.insert(block, r.array::<64>()?);
         }
         let n = r.seq_len(8 + 64)?;
-        let mut counters = FxHashMap::default();
+        let mut counters = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let page = r.u64()?;
             let bytes = r.array::<64>()?;

@@ -79,11 +79,13 @@ impl WireWriter {
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written yet.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -94,52 +96,62 @@ impl WireWriter {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `bool` as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Writes a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u128`, little-endian.
+    #[inline]
     pub fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as a `u64` (checked at decode).
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Writes an `f64` via its exact bit pattern.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Writes raw bytes with no length prefix (fixed-size fields).
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Writes a length-prefixed byte blob.
+    #[inline]
     pub fn blob(&mut self, bytes: &[u8]) {
         self.usize(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
 
     /// Writes a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, s: &str) {
         self.blob(s.as_bytes());
     }
@@ -159,16 +171,19 @@ impl<'a> WireReader<'a> {
     }
 
     /// Current byte offset.
+    #[inline]
     pub fn offset(&self) -> usize {
         self.pos
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether the whole image has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
@@ -187,6 +202,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] when fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
@@ -204,6 +220,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] when fewer than `N` bytes remain.
+    #[inline]
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         let bytes = self.take(N)?;
         let mut out = [0u8; N];
@@ -216,6 +233,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of input.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -225,6 +243,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Truncated input or a byte other than 0/1.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, WireError> {
         let at = self.pos;
         match self.u8()? {
@@ -242,6 +261,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of input.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
@@ -251,6 +271,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of input.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
@@ -260,6 +281,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of input.
+    #[inline]
     pub fn u128(&mut self) -> Result<u128, WireError> {
         Ok(u128::from_le_bytes(self.array()?))
     }
@@ -272,6 +294,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Truncated input or an out-of-range value.
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, WireError> {
         let at = self.pos;
         let v = self.u64()?;
@@ -289,6 +312,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Truncated input or an impossible length.
+    #[inline]
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let at = self.pos;
         let n = self.usize()?;
@@ -309,6 +333,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of input.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -318,6 +343,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Truncated input or an impossible length.
+    #[inline]
     pub fn blob(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.seq_len(1)?;
         self.take(n)
@@ -328,6 +354,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Truncated input, an impossible length, or invalid UTF-8.
+    #[inline]
     pub fn str(&mut self) -> Result<&'a str, WireError> {
         let at = self.pos;
         let bytes = self.blob()?;
