@@ -28,7 +28,9 @@ impl RunnerArgs {
     ///
     /// # Errors
     ///
-    /// Names the malformed or unknown argument.
+    /// Names the malformed or unknown argument, and rejects a zero
+    /// instruction budget (every runner compares cycle counts, which a
+    /// run of nothing does not have).
     pub fn parse(args: &[String], default_instructions: u64) -> Result<RunnerArgs, String> {
         let mut parsed = RunnerArgs {
             instructions: default_instructions,
@@ -52,9 +54,11 @@ impl RunnerArgs {
                     parsed.json = Some(v.clone());
                 }
                 other if !saw_positional && !other.starts_with("--") => {
-                    parsed.instructions = other
-                        .parse()
-                        .map_err(|_| format!("bad instruction count {other:?}"))?;
+                    parsed.instructions = match other.parse() {
+                        Ok(0) => return Err("instruction count must be positive".into()),
+                        Ok(n) => n,
+                        Err(_) => return Err(format!("bad instruction count {other:?}")),
+                    };
                     saw_positional = true;
                 }
                 other => return Err(format!("unknown argument {other:?}")),
@@ -109,5 +113,9 @@ mod tests {
         assert!(RunnerArgs::parse(&strs(&["--jobs", "x"]), 7).is_err());
         assert!(RunnerArgs::parse(&strs(&["1", "2"]), 7).is_err());
         assert!(RunnerArgs::parse(&strs(&["--frobnicate"]), 7).is_err());
+        assert_eq!(
+            RunnerArgs::parse(&strs(&["0"]), 7),
+            Err("instruction count must be positive".into())
+        );
     }
 }

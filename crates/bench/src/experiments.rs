@@ -11,7 +11,7 @@
 
 use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::facade::PersistSystem;
-use secpb_core::metrics::{counters, RunResult};
+use secpb_core::metrics::RunResult;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
@@ -241,7 +241,7 @@ impl GridCell {
                 let rec = sys.recover();
                 RecoveryCheck {
                     blocks_checked: rec.blocks_checked,
-                    recovery_cycles: sys.estimated_recovery_cycles(),
+                    recovery_cycles: sys.recovery_cost().cycles,
                     failure: if rec.is_consistent() {
                         None
                     } else {
@@ -865,19 +865,6 @@ pub fn ablation_watermarks(
             ((h, l), s.averages[0].1)
         })
         .collect()
-}
-
-/// Quick sanity accessor used by tests: stores seen by the bbb baseline.
-pub fn baseline_store_count(profile: &WorkloadProfile, instructions: u64) -> u64 {
-    run_benchmark(
-        profile,
-        Scheme::Bbb,
-        SystemConfig::default(),
-        TreeKind::Monolithic,
-        instructions,
-    )
-    .stats
-    .get(counters::STORES)
 }
 
 #[cfg(test)]

@@ -147,38 +147,6 @@ pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
     out
 }
 
-/// Renders a multi-series chart (one bar group per label), used for the
-/// size sweeps where each benchmark has one value per SecPB size.
-pub fn grouped_chart(series: &[&str], rows: &[(String, Vec<f64>)], width: usize) -> String {
-    let max = rows
-        .iter()
-        .flat_map(|(_, vs)| vs.iter().copied())
-        .fold(0.0f64, f64::max);
-    let label_w = rows
-        .iter()
-        .map(|(l, _)| l.len())
-        .chain(series.iter().map(|s| s.len()))
-        .max()
-        .unwrap_or(0);
-    let mut out = String::new();
-    for (label, values) in rows {
-        let _ = writeln!(out, " {label}:");
-        for (name, value) in series.iter().zip(values) {
-            let bar_len = if max > 0.0 {
-                ((value / max) * width as f64).round() as usize
-            } else {
-                0
-            };
-            let _ = writeln!(
-                out,
-                "   {name:<label_w$} |{} {value:.3}",
-                "#".repeat(bar_len)
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,20 +202,5 @@ mod tests {
         let chart = bar_chart(&[("a".into(), 0.0)], 10);
         assert!(!chart.contains('#'));
         assert_eq!(bar_chart(&[], 10), "");
-    }
-
-    #[test]
-    fn grouped_chart_lists_series_per_row() {
-        let chart = grouped_chart(
-            &["8e", "32e"],
-            &[
-                ("gcc".into(), vec![2.0, 1.0]),
-                ("mcf".into(), vec![1.0, 1.0]),
-            ],
-            8,
-        );
-        assert!(chart.contains("gcc:"));
-        assert!(chart.contains("8e"));
-        assert_eq!(chart.lines().count(), 6);
     }
 }

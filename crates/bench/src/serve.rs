@@ -19,11 +19,10 @@
 //!   and coalesces counter digests, amortizing metadata cost across the
 //!   epoch instead of paying it per store.
 //! * **QoS** — every tenant carries a [`QosClass`] that bounds how many
-//!   trace items it may contribute to any one epoch.  Classes are only
-//!   settable through the privileged config path
-//!   ([`ServeConfig::set_qos`] + [`PrivilegeToken`]); the data plane
-//!   re-checks the bound per epoch and counts violations, which CI
-//!   treats as failures.
+//!   trace items it may contribute to any one epoch.  Classes are set
+//!   on the config only ([`ServeConfig::set_qos`]); a running service
+//!   exposes no QoS mutation, and the data plane re-checks the bound per
+//!   epoch and counts violations, which CI treats as failures.
 //! * **Observability** — with telemetry enabled each shard streams
 //!   through its own SPSC ring into a per-shard [`HealthMonitor`],
 //!   emitting one [`HealthSnapshot`] per epoch.
@@ -44,7 +43,7 @@
 //!
 //! The serve plane survives its own workers dying mid-epoch.  Every
 //! shard checkpoints its full system state
-//! ([`PersistSystem::checkpoint`]) every [`ServeConfig::checkpoint_every`]
+//! ([`SecureSystem::checkpoint_bytes`]) every [`ServeConfig::checkpoint_every`]
 //! epochs and journals the batches processed since.  A worker panic —
 //! injected by a [`ServeFaultPlan`] crash trigger or otherwise — is
 //! caught by the pool while the shard claim is still held: the shard
@@ -318,30 +317,6 @@ impl QosClass {
     }
 }
 
-/// Capability token for the privileged configuration path.
-///
-/// QoS classes bound cross-tenant starvation, so letting a tenant pick
-/// its own class would be privilege escalation: [`ServeConfig::set_qos`]
-/// demands this token, which only the operator assembling the
-/// [`ServeConfig`] can mint.  Nothing reachable from the data plane — a
-/// [`TenantSpec`], a running service, a trace stream — can construct or
-/// obtain one, and a sealed running service exposes no QoS mutation
-/// surface at all.
-#[derive(Debug)]
-pub struct PrivilegeToken {
-    _config_time_only: (),
-}
-
-impl PrivilegeToken {
-    /// Mints the token.  Call this only on the operator/config path,
-    /// never on behalf of tenant input.
-    pub fn acquire() -> Self {
-        PrivilegeToken {
-            _config_time_only: (),
-        }
-    }
-}
-
 /// Where a tenant's store trace comes from.
 #[derive(Debug, Clone)]
 pub enum TenantSource {
@@ -431,7 +406,7 @@ pub struct ServeConfig {
     /// Crash (power loss, full drain) and verify recovery of every
     /// shard after the last epoch.
     pub crash_check: bool,
-    /// Epochs between shard checkpoints ([`PersistSystem::checkpoint`]);
+    /// Epochs between shard checkpoints ([`SecureSystem::checkpoint_bytes`]);
     /// crash recovery restores the latest one and replays the journal.
     /// `0` disables checkpointing — and with it, crash recovery.
     pub checkpoint_every: u64,
@@ -474,7 +449,6 @@ impl ServeConfig {
         let mut cfg = ServeConfig::new(2);
         cfg.epoch_len = 256;
         cfg.telemetry = true;
-        let token = PrivilegeToken::acquire();
         for (i, (bench, qos)) in [
             ("gamess", QosClass::Gold),
             ("milc", QosClass::Silver),
@@ -490,7 +464,7 @@ impl ServeConfig {
                 WorkloadProfile::named(bench).expect("known benchmark"),
                 6_000,
             ));
-            cfg.set_qos(&name, *qos, &token).expect("tenant just added");
+            cfg.set_qos(&name, *qos).expect("tenant just added");
         }
         cfg
     }
@@ -500,38 +474,24 @@ impl ServeConfig {
     pub fn with_synthetic_tenants(mut self, count: usize, instructions: u64) -> Self {
         let suite = WorkloadProfile::spec_suite();
         let classes = [QosClass::Gold, QosClass::Silver, QosClass::Bronze];
-        let token = PrivilegeToken::acquire();
         for i in 0..count {
             let profile = suite[i % suite.len()].clone();
             let name = format!("t{i}-{}", profile.name);
             self.tenants
                 .push(TenantSpec::synthetic(&name, profile, instructions));
-            self.set_qos(&name, classes[i % classes.len()], &token)
+            self.set_qos(&name, classes[i % classes.len()])
                 .expect("tenant just added");
         }
         self
     }
 
-    /// Adds a tenant (with the default QoS class).
-    pub fn with_tenant(mut self, tenant: TenantSpec) -> Self {
-        self.tenants.push(tenant);
-        self
-    }
-
-    /// Sets a tenant's QoS class — the privileged path.  The required
-    /// [`PrivilegeToken`] keeps this off the data plane: a running
-    /// service exposes no equivalent, and tenant-supplied input never
-    /// reaches this call.
+    /// Sets a tenant's QoS class.  Configuration is the only place a
+    /// class is assigned: a running service exposes no equivalent.
     ///
     /// # Errors
     ///
     /// Returns the unknown tenant name.
-    pub fn set_qos(
-        &mut self,
-        tenant: &str,
-        class: QosClass,
-        _privilege: &PrivilegeToken,
-    ) -> Result<(), String> {
+    pub fn set_qos(&mut self, tenant: &str, class: QosClass) -> Result<(), String> {
         match self.tenants.iter_mut().find(|t| t.name == tenant) {
             Some(t) => {
                 t.qos = class;
@@ -807,7 +767,7 @@ struct ShardCheckpoint {
 
 /// The state one shard worker owns.
 struct ShardState {
-    sys: Box<dyn PersistSystem + Send>,
+    sys: SecureSystem,
     monitor: HealthMonitor,
     reader: Option<TelemetryReader>,
     front_name: String,
@@ -950,14 +910,10 @@ impl ShardState {
     }
 
     /// Captures the shard at the current epoch boundary and truncates
-    /// the journal: recovery rewinds here and replays forward.  Fronts
-    /// without checkpoint support keep the previous capture.
+    /// the journal: recovery rewinds here and replays forward.
     fn take_checkpoint(&mut self) {
-        let Ok(sys) = self.sys.checkpoint() else {
-            return;
-        };
         self.checkpoint = Some(ShardCheckpoint {
-            sys,
+            sys: self.sys.checkpoint_bytes(),
             epochs: self.epochs,
             items: self.items,
             stores: self.stores,
@@ -981,7 +937,7 @@ impl ShardState {
             .as_ref()
             .expect("serve checkpoints every shard at startup");
         self.sys
-            .restore(&cp.sys)
+            .restore_bytes(&cp.sys)
             .expect("a shard's own checkpoint bytes restore");
         self.epochs = cp.epochs;
         self.items = cp.items;
@@ -1038,7 +994,7 @@ impl ShardState {
                 energy_scheme(self.sys.scheme()),
                 occupancy as usize,
             ),
-            recovery_cycles: self.sys.estimated_recovery_cycles(),
+            recovery_cycles: self.sys.recovery_cost().cycles,
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
@@ -1261,12 +1217,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     for list in &members {
         let names: Vec<&str> = list.iter().map(|&t| cfg.tenants[t].name.as_str()).collect();
         let key_seed = derive_seed(cfg.seed, &names);
-        let mut sys: Box<dyn PersistSystem + Send> = Box::new(SecureSystem::with_tree(
-            cfg.sys_cfg.clone(),
-            cfg.scheme,
-            cfg.tree,
-            key_seed,
-        ));
+        let mut sys = SecureSystem::with_tree(cfg.sys_cfg.clone(), cfg.scheme, cfg.tree, key_seed);
         let reader = if cfg.telemetry {
             let (sink, reader) = telemetry::channel(cfg.ring_capacity);
             sys.set_telemetry(Some(sink));
@@ -1543,10 +1494,9 @@ mod tests {
     #[test]
     fn set_qos_requires_known_tenant() {
         let mut cfg = two_tenant_cfg(1);
-        let token = PrivilegeToken::acquire();
-        assert!(cfg.set_qos("alpha", QosClass::Gold, &token).is_ok());
+        assert!(cfg.set_qos("alpha", QosClass::Gold).is_ok());
         assert_eq!(cfg.tenants[0].qos(), QosClass::Gold);
-        assert!(cfg.set_qos("nobody", QosClass::Gold, &token).is_err());
+        assert!(cfg.set_qos("nobody", QosClass::Gold).is_err());
     }
 
     #[test]
@@ -1589,12 +1539,7 @@ mod tests {
     /// shard, for feeding [`ShardState::process`] batches directly.
     fn bob_shard(quota: u64, checkpoint_every: u64) -> ShardState {
         ShardState {
-            sys: Box::new(SecureSystem::with_tree(
-                SystemConfig::default(),
-                Scheme::Cobcm,
-                TreeKind::Dbmf,
-                1,
-            )),
+            sys: SecureSystem::with_tree(SystemConfig::default(), Scheme::Cobcm, TreeKind::Dbmf, 1),
             monitor: HealthMonitor::new(),
             reader: None,
             front_name: "test".into(),
@@ -1732,16 +1677,15 @@ mod tests {
 
     #[test]
     fn brown_outs_shed_bronze_first_and_never_drop_work() {
-        let token = PrivilegeToken::acquire();
         let mut cfg = two_tenant_cfg(1);
         cfg.tenants.push(TenantSpec::synthetic(
             "gamma",
             WorkloadProfile::named("povray").unwrap(),
             4_000,
         ));
-        cfg.set_qos("alpha", QosClass::Gold, &token).unwrap();
-        cfg.set_qos("beta", QosClass::Silver, &token).unwrap();
-        cfg.set_qos("gamma", QosClass::Bronze, &token).unwrap();
+        cfg.set_qos("alpha", QosClass::Gold).unwrap();
+        cfg.set_qos("beta", QosClass::Silver).unwrap();
+        cfg.set_qos("gamma", QosClass::Bronze).unwrap();
         // A budget funding just over half a full drain: bronze defers,
         // gold and silver keep their slots.
         let full = secpb_drain_energy(energy_scheme(cfg.scheme), cfg.sys_cfg.secpb.entries);

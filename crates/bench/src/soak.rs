@@ -17,11 +17,6 @@
 //!    then journal replay); its final checkpoint bytes must equal a
 //!    straight-through run's, byte for byte.
 //!
-//! The run is also coupled to the [`StartGap`] wear model: every store
-//! the faulted service replayed becomes one wear-leveled line write, so
-//! a soak reports how much physical movement the storm's write volume
-//! implies.
-//!
 //! [`ShardOutcome::digest`]: crate::serve::ShardOutcome::digest
 
 use std::fmt::Write as _;
@@ -30,15 +25,12 @@ use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
 use secpb_energy::drain::secpb_drain_energy;
-use secpb_mem::wear::StartGap;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::rng::Rng;
 use secpb_sim::trace::TraceItem;
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
-use crate::serve::{
-    run_serve, PrivilegeToken, QosClass, ServeConfig, ServeError, ServeFaultPlan, TenantSpec,
-};
+use crate::serve::{run_serve, QosClass, ServeConfig, ServeError, ServeFaultPlan, TenantSpec};
 use crate::storm::energy_scheme;
 
 /// Soak configuration: a serve shape plus the fault and restart
@@ -52,16 +44,12 @@ pub struct SoakConfig {
     pub restart_epochs: usize,
     /// Items per epoch in the restart storm.
     pub restart_epoch_len: usize,
-    /// Master seed for the restart/wear schedules (the serve fault plan
+    /// Master seed for the restart schedule (the serve fault plan
     /// carries its own seed).
     pub seed: u64,
     /// The run fails unless at least this many shard crashes actually
     /// fired — a soak that never faults proves nothing.
     pub min_crashes: u64,
-    /// Wear-model region size in lines.
-    pub wear_lines: u64,
-    /// Start-Gap period: one gap move per `psi` writes.
-    pub wear_psi: u32,
 }
 
 impl SoakConfig {
@@ -77,13 +65,12 @@ impl SoakConfig {
         cfg.seed = seed;
         let suite = WorkloadProfile::spec_suite();
         let classes = [QosClass::Gold, QosClass::Silver, QosClass::Bronze];
-        let token = PrivilegeToken::acquire();
         for i in 0..tenants {
             let profile = suite[i % suite.len()].clone();
             let name = format!("s{i}-{}", profile.name);
             cfg.tenants
                 .push(TenantSpec::synthetic(&name, profile, instructions));
-            cfg.set_qos(&name, classes[i % classes.len()], &token)
+            cfg.set_qos(&name, classes[i % classes.len()])
                 .expect("tenant just added");
         }
         // A budget funding just over half a full drain: bronze sheds,
@@ -102,8 +89,6 @@ impl SoakConfig {
             restart_epoch_len: 400,
             seed,
             min_crashes: 4,
-            wear_lines: 1 << 10,
-            wear_psi: 64,
         }
     }
 
@@ -116,8 +101,6 @@ impl SoakConfig {
             restart_epoch_len: 1_200,
             seed,
             min_crashes: 100,
-            wear_lines: 1 << 14,
-            wear_psi: 128,
         }
     }
 }
@@ -152,10 +135,6 @@ pub struct SoakOutcome {
     /// Whether the restart storm's final state was byte-identical to
     /// the straight-through reference.
     pub restart_equivalent: bool,
-    /// Line writes fed to the wear model (one per store replayed).
-    pub wear_writes: u64,
-    /// Start-Gap line remappings those writes caused.
-    pub wear_gap_moves: u64,
     /// The crash floor the run was required to clear.
     pub min_crashes: u64,
 }
@@ -209,11 +188,6 @@ impl SoakOutcome {
             } else {
                 "DIVERGED"
             }
-        );
-        let _ = writeln!(
-            out,
-            "wear              writes={} gap_moves={}",
-            self.wear_writes, self.wear_gap_moves
         );
         let _ = writeln!(out, "anomalies         {}", self.anomalies);
         let _ = writeln!(out, "qos violations    {}", self.qos_violations);
@@ -290,7 +264,7 @@ fn restart_storm(cfg: &SoakConfig) -> (u64, u64, bool) {
 }
 
 /// Runs the whole soak: the faulted serve storm, its crash-free
-/// reference, the restart storm, and the wear coupling.
+/// reference, and the restart storm.
 ///
 /// # Errors
 ///
@@ -316,14 +290,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, ServeError> {
 
     let (restarts, checkpoints, restart_equivalent) = restart_storm(cfg);
 
-    // Wear coupling: every store the faulted service replayed becomes
-    // one wear-leveled write to a seeded line address.
-    let mut wear = StartGap::new(cfg.wear_lines, cfg.wear_psi);
-    let mut rng = Rng::seed_from(cfg.seed ^ 0x5EA2_11FE);
-    for _ in 0..faulted.total_stores() {
-        wear.on_write(rng.below(cfg.wear_lines));
-    }
-
     Ok(SoakOutcome {
         crashes: faulted.pool.crash_recoveries,
         restores: faulted.total_restored(),
@@ -337,8 +303,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, ServeError> {
         restarts,
         checkpoints,
         restart_equivalent,
-        wear_writes: wear.total_writes(),
-        wear_gap_moves: wear.gap_moves(),
         min_crashes: cfg.min_crashes,
     })
 }
@@ -354,7 +318,6 @@ mod tests {
         assert!(out.crashes >= 4, "{}", out.render_text());
         assert!(out.restarts > 0, "{}", out.render_text());
         assert!(out.shed > 0, "{}", out.render_text());
-        assert!(out.wear_gap_moves > 0, "{}", out.render_text());
     }
 
     #[test]
@@ -362,8 +325,8 @@ mod tests {
         let a = run_soak(&SoakConfig::quick(5)).unwrap();
         let b = run_soak(&SoakConfig::quick(5)).unwrap();
         assert_eq!(
-            (a.crashes, a.restores, a.replayed, a.shed, a.wear_gap_moves),
-            (b.crashes, b.restores, b.replayed, b.shed, b.wear_gap_moves)
+            (a.crashes, a.restores, a.replayed, a.shed, a.restarts),
+            (b.crashes, b.restores, b.replayed, b.shed, b.restarts)
         );
         assert!(a.converged() && b.converged());
     }

@@ -590,29 +590,19 @@ pub fn build_front(
     scheme: Scheme,
     key_seed: u64,
 ) -> Result<Box<dyn PersistSystem + Send>, String> {
-    match front {
-        StormFront::SecPb => Ok(Box::new(SecureSystem::new(sys_cfg, scheme, key_seed))),
-        StormFront::Eadr => Ok(Box::new(EadrSystem::new(sys_cfg, key_seed))),
+    let secure = |cfg| {
+        SecureSystem::build(cfg, scheme, TreeKind::Monolithic, key_seed)
+            .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
+    };
+    let built = match front {
+        StormFront::SecPb => secure(sys_cfg),
+        StormFront::Eadr => return Ok(Box::new(EadrSystem::new(sys_cfg, key_seed))),
         StormFront::MultiCore(cores) => MultiCoreSystem::new(sys_cfg, scheme, cores, key_seed)
-            .map(|m| Box::new(m) as Box<dyn PersistSystem + Send>)
-            .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::Triad(levels) => SecureSystem::build(
-            sys_cfg.with_triad_levels(levels),
-            scheme,
-            TreeKind::Monolithic,
-            key_seed,
-        )
-        .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
-        .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::FastRec => SecureSystem::build(
-            sys_cfg.with_shadow_counters(true),
-            scheme,
-            TreeKind::Monolithic,
-            key_seed,
-        )
-        .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
-        .map_err(|e| format!("invalid configuration: {e}")),
-    }
+            .map(|m| Box::new(m) as Box<dyn PersistSystem + Send>),
+        StormFront::Triad(levels) => secure(sys_cfg.with_triad_levels(levels)),
+        StormFront::FastRec => secure(sys_cfg.with_shadow_counters(true)),
+    };
+    built.map_err(|e| format!("invalid configuration: {e}"))
 }
 
 /// Runs one storm cell: replays the trace, crashing at every trigger

@@ -37,9 +37,6 @@ use crate::backend::CryptoBackend;
 use crate::hmac::HmacSha512;
 use crate::sha512::Digest;
 
-/// Default tree arity (children per interior node).
-pub const DEFAULT_ARITY: usize = 8;
-
 /// Digests per storage chunk of a [`NodeLevel`] (4 KB of digests).
 ///
 /// A power of two at least as large as any practical arity, so a node's

@@ -56,9 +56,7 @@ pub mod hmac;
 pub mod mac;
 pub mod memo;
 pub mod otp;
-pub mod sgx_tree;
 pub mod sha512;
-pub mod xts;
 
 pub use aes::Aes;
 pub use backend::CryptoBackend;

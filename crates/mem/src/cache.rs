@@ -63,18 +63,6 @@ pub struct CacheStats {
     pub silent_evictions: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio over all accesses (0.0 if no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// A set-associative cache with true LRU replacement.
 ///
 /// # Example
@@ -551,15 +539,6 @@ mod tests {
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
         assert!(c.probe(BlockAddr(0)).is_some());
-    }
-
-    #[test]
-    fn miss_ratio() {
-        let mut c = small();
-        c.access(BlockAddr(0), LineState::Clean);
-        c.access(BlockAddr(0), LineState::Clean);
-        assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(CacheStats::default().miss_ratio(), 0.0);
     }
 
     #[test]

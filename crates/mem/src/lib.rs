@@ -29,7 +29,6 @@ pub mod hierarchy;
 pub mod metadata;
 pub mod nvm;
 pub mod store;
-pub mod wear;
 pub mod wpq;
 
 pub use cache::{Cache, LineState};

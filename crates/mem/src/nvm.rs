@@ -97,22 +97,6 @@ impl NvmTiming {
         done
     }
 
-    /// Earliest cycle at which any write bank is free — used by drain
-    /// loops to pace themselves.
-    pub fn earliest_free(&self) -> Cycle {
-        self.write_free.iter().copied().min().unwrap_or(Cycle::ZERO)
-    }
-
-    /// The cycle by which every issued request has completed.
-    pub fn all_idle_at(&self) -> Cycle {
-        self.read_free
-            .iter()
-            .chain(self.write_free.iter())
-            .copied()
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
-
     /// Appends the per-bank availability vectors and counters to a
     /// checkpoint.  Restore requires a model built with the same
     /// [`NvmConfig`].
@@ -194,20 +178,6 @@ mod tests {
         let mut n = nvm();
         let done = n.write(BlockAddr(0), Cycle(1000));
         assert_eq!(done, Cycle(1600));
-    }
-
-    #[test]
-    fn idle_tracking() {
-        let mut n = nvm();
-        assert_eq!(n.all_idle_at(), Cycle::ZERO);
-        n.read(BlockAddr(0), Cycle(0));
-        n.write(BlockAddr(1), Cycle(0));
-        assert_eq!(
-            n.earliest_free(),
-            Cycle::ZERO,
-            "untouched banks remain free"
-        );
-        assert_eq!(n.all_idle_at(), Cycle(600));
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl SecPb {
         self.arena.live() >= self.config.high_watermark_entries()
     }
 
-    /// Whether occupancy has fallen to the low watermark (stop draining).
-    pub fn at_low_watermark(&self) -> bool {
-        self.arena.live() <= self.config.low_watermark_entries()
-    }
-
     /// Whether the buffer holds `block`.
     pub fn contains(&self, block: BlockAddr) -> bool {
         self.index.contains_key(&block)
@@ -192,13 +187,6 @@ impl SecPb {
     /// The oldest resident entry's block (FIFO drain order).
     pub fn oldest(&self) -> Option<BlockAddr> {
         self.live_oldest_first().next().map(|e| e.block)
-    }
-
-    /// The oldest resident entry matching `filter` (drain-process policy).
-    pub fn oldest_matching(&self, filter: impl Fn(&Entry) -> bool) -> Option<BlockAddr> {
-        self.live_oldest_first()
-            .find(|e| filter(e))
-            .map(|e| e.block)
     }
 
     /// Blocks of all resident entries, oldest first.
@@ -316,17 +304,15 @@ mod tests {
 
     #[test]
     fn watermarks_track_occupancy() {
-        let mut b = pb(8); // HWM = 6, LWM = 4
+        let mut b = pb(8); // HWM = 6
         for i in 0..5u64 {
             b.allocate(BlockAddr(i), Asid(0), [0u8; 64]);
         }
         assert!(!b.above_high_watermark());
         b.allocate(BlockAddr(5), Asid(0), [0u8; 64]);
         assert!(b.above_high_watermark());
-        assert!(!b.at_low_watermark());
         b.remove(BlockAddr(0));
-        b.remove(BlockAddr(1));
-        assert!(b.at_low_watermark());
+        assert!(!b.above_high_watermark());
     }
 
     #[test]
@@ -407,7 +393,6 @@ mod tests {
         b.allocate(BlockAddr(2), Asid(1), [0u8; 64]);
         assert_eq!(b.blocks_of_asid(Asid(1)), vec![BlockAddr(0), BlockAddr(2)]);
         assert_eq!(b.blocks_of_asid(Asid(2)), vec![BlockAddr(1)]);
-        assert_eq!(b.oldest_matching(|e| e.asid == Asid(2)), Some(BlockAddr(1)));
     }
 
     #[test]

@@ -96,7 +96,10 @@ pub const MAGIC: [u8; 4] = *b"SPBC";
 ///   fingerprint (both are host implementation details, not model
 ///   parameters).
 /// - 4: cache sections list live ways only.
-pub const VERSION: u32 = 4;
+/// - 5: the core frequency, SecPB entry size and NVM read/write queue
+///   depths leave the config fingerprint (they left `SystemConfig`; no
+///   model read them).
+pub const VERSION: u32 = 5;
 
 /// The four tag bytes opening the persistence-policy section (v2+).
 pub const POLICY_TAG: [u8; 4] = *b"SPOL";
@@ -104,9 +107,6 @@ pub const POLICY_TAG: [u8; 4] = *b"SPOL";
 /// Why a checkpoint could not be produced or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The front does not implement checkpointing (only the single-core
-    /// [`SecureSystem`] front does).
-    Unsupported,
     /// The bytes do not start with the `SPBC` magic.
     BadMagic,
     /// The checkpoint was written by a different wire-format version.
@@ -124,9 +124,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Unsupported => {
-                write!(f, "this front does not support checkpoint/restore")
-            }
             CheckpointError::BadMagic => write!(f, "not a SecPB checkpoint (bad magic)"),
             CheckpointError::VersionMismatch { found } => write!(
                 f,
@@ -182,7 +179,6 @@ pub fn config_fingerprint(
         TreeKind::Sbmf => 2,
     });
     w.u64(key_seed);
-    w.f64(cfg.core.freq_hz);
     w.u32(cfg.core.retire_width);
     w.usize(cfg.core.store_buffer_entries);
     w.f64(cfg.core.load_exposure);
@@ -199,7 +195,6 @@ pub fn config_fingerprint(
     }
     w.usize(cfg.wpq_entries);
     w.usize(cfg.secpb.entries);
-    w.usize(cfg.secpb.entry_bytes);
     w.u64(cfg.secpb.access_latency);
     w.f64(cfg.secpb.high_watermark);
     w.f64(cfg.secpb.low_watermark);
@@ -215,8 +210,6 @@ pub fn config_fingerprint(
     w.u64(cfg.nvm.size_bytes);
     w.u64(cfg.nvm.read_latency.raw());
     w.u64(cfg.nvm.write_latency.raw());
-    w.usize(cfg.nvm.write_queue_entries);
-    w.usize(cfg.nvm.read_queue_entries);
     w.usize(cfg.nvm.banks);
     let digest = Sha512::digest(&w.into_bytes());
     u64::from_le_bytes(digest.0[..8].try_into().expect("SHA-512 is 64 bytes"))
@@ -382,7 +375,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trip_is_byte_identical() {
         let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 42);
-        sys.run_trace(store_trace(0x10_0000, 300).into_iter());
+        sys.run_trace(store_trace(0x10_0000, 300));
         let bytes = sys.checkpoint_bytes();
 
         let mut restored = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 42);
@@ -459,12 +452,19 @@ mod tests {
             same.restore_bytes(&versioned),
             Err(CheckpointError::VersionMismatch { .. })
         ));
+        // A v4 header (the format before the fingerprint lost four
+        // unread config fields) is rejected by version, not fingerprint.
+        versioned[4..8].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            same.restore_bytes(&versioned),
+            Err(CheckpointError::VersionMismatch { found: 4 })
+        );
     }
 
     #[test]
     fn truncated_payload_reports_wire_error() {
         let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 9);
-        sys.run_trace(store_trace(0x30_0000, 50).into_iter());
+        sys.run_trace(store_trace(0x30_0000, 50));
         let bytes = sys.checkpoint_bytes();
         let mut target = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 9);
         let err = target.restore_bytes(&bytes[..bytes.len() - 3]).unwrap_err();

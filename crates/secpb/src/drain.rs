@@ -29,17 +29,6 @@ pub struct DrainStats {
     pub max_latency_cycles: u64,
 }
 
-impl DrainStats {
-    /// Mean end-to-end latency of a drain, or 0.0 before any issue.
-    pub fn mean_latency(&self) -> f64 {
-        if self.issued == 0 {
-            0.0
-        } else {
-            self.latency_cycles as f64 / self.issued as f64
-        }
-    }
-}
-
 /// Models the MC-side drain pipeline: bounded in-flight drains with a
 /// per-issue initiation interval.
 ///
@@ -205,8 +194,6 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.latency_cycles, 240);
         assert_eq!(s.max_latency_cycles, 140);
-        assert!((s.mean_latency() - 120.0).abs() < 1e-12);
-        assert_eq!(DrainStats::default().mean_latency(), 0.0);
     }
 
     #[test]

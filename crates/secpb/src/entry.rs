@@ -118,12 +118,6 @@ impl Entry {
         self.mac = None;
     }
 
-    /// Whether this entry's security persist is complete with respect to
-    /// the scheme's early-work demands.
-    pub fn persist_complete(&self, required: EarlyWork) -> bool {
-        self.valid.satisfies(required)
-    }
-
     /// Appends every tuple field, valid bit, and counter to a checkpoint.
     pub fn encode_into(&self, w: &mut WireWriter) {
         w.u64(self.block.index());
@@ -208,11 +202,6 @@ mod tests {
         let e = entry();
         assert_eq!(e.valid, ValidBits::default());
         assert_eq!(e.stores, 0);
-        assert!(
-            e.persist_complete(Scheme::Cobcm.early_work()),
-            "COBCM demands nothing"
-        );
-        assert!(!e.persist_complete(Scheme::Obcm.early_work()));
     }
 
     #[test]

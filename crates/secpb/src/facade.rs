@@ -39,7 +39,6 @@ use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
 use secpb_sim::trace::TraceItem;
 
-use crate::checkpoint::CheckpointError;
 use crate::crash::{CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport};
 use crate::eadr::EadrSystem;
 use crate::metrics::{counters, RunResult};
@@ -107,28 +106,6 @@ pub trait PersistSystem {
     /// nothing deferred and return 0.
     fn sync_metadata(&mut self) -> u64 {
         0
-    }
-
-    /// Serialises the complete system state into a versioned checkpoint
-    /// (see [`checkpoint`](crate::checkpoint) for the wire format and
-    /// the restore+replay equivalence contract).  Only the single-core
-    /// front implements this; the others return
-    /// [`CheckpointError::Unsupported`].
-    fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
-        Err(CheckpointError::Unsupported)
-    }
-
-    /// Overlays a checkpoint taken by [`checkpoint`](Self::checkpoint)
-    /// onto this system.  The target must have been constructed with the
-    /// identical configuration, scheme, tree kind, and key seed.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unsupported front, header mismatch, or corrupt
-    /// payload; after a payload error the target must be discarded.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let _ = bytes;
-        Err(CheckpointError::Unsupported)
     }
 
     /// Executes a single trace item.
@@ -215,12 +192,6 @@ pub trait PersistSystem {
         )
     }
 
-    /// Estimated post-crash recovery latency in cycles — the `cycles`
-    /// field of [`recovery_cost`](Self::recovery_cost).
-    fn estimated_recovery_cycles(&self) -> u64 {
-        self.recovery_cost().cycles
-    }
-
     /// The architecturally expected plaintext of a block.
     fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64];
 
@@ -258,14 +229,6 @@ impl PersistSystem for SecureSystem {
 
     fn sync_metadata(&mut self) -> u64 {
         SecureSystem::sync_metadata(self)
-    }
-
-    fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
-        Ok(self.checkpoint_bytes())
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.restore_bytes(bytes)
     }
 
     fn step(&mut self, item: TraceItem) {
@@ -470,10 +433,6 @@ impl PersistSystem for MultiCoreSystem {
 
     fn stats(&self) -> &Stats {
         MultiCoreSystem::stats(self)
-    }
-
-    fn anomalies(&self) -> u64 {
-        self.stats().get("mc.anomalies")
     }
 
     fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {

@@ -154,15 +154,15 @@ impl MultiCoreSystem {
         self.stats.sink()
     }
 
-    /// Records a model-invariant violation: bumps `mc.anomalies` and,
+    /// Records a model-invariant violation: bumps `fault.anomalies` and,
     /// when a telemetry sink is attached, emits an anomaly-transition
     /// marker carrying the new cumulative count.
     fn note_anomaly(&mut self) {
-        self.stats.bump("mc.anomalies");
+        self.stats.bump(counters::ANOMALIES);
         if let Some(sink) = self.stats.sink() {
             let cycle = self.core_now.iter().map(|c| c.raw()).max().unwrap_or(0);
             sink.emit(&TelemetryEvent::AnomalyMarker {
-                count: self.stats.get("mc.anomalies"),
+                count: self.stats.get(counters::ANOMALIES),
                 cycle,
             });
         }

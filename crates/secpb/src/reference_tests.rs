@@ -66,7 +66,7 @@ fn grid_cell(
     if let Some(mut reader) = reader {
         assert!(reader.pop().is_some(), "telemetered run emitted nothing");
     }
-    (result, rec, sys.estimated_recovery_cycles())
+    (result, rec, sys.recovery_cost().cycles)
 }
 
 #[test]

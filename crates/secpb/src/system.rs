@@ -41,6 +41,7 @@ use secpb_sim::trace::{AccessKind, TraceItem};
 use secpb_sim::tracer::Tracer;
 
 use crate::buffer::SecPb;
+use crate::crash::ConfigError;
 use crate::domain::{DomainKeys, PersistDomain};
 use crate::drain::DrainEngine;
 use crate::metrics::{counters, histograms, CycleBreakdown, RunResult};
@@ -183,36 +184,42 @@ impl SecureSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the persistence-policy knobs in `cfg.security`
+    /// Panics if a SecPB scheme gets a degenerate SecPB (zero entries,
+    /// bad watermarks) or the persistence-policy knobs in `cfg.security`
     /// (`triad_levels`, `shadow_counters`) are illegal for this tree;
     /// use [`build`](Self::build) to get a typed error instead.  The
-    /// default knobs are always legal.
+    /// default configuration is always legal.
     pub fn with_tree(
         cfg: SystemConfig,
         scheme: Scheme,
         tree_kind: TreeKind,
         key_seed: u64,
     ) -> Self {
-        Self::build(cfg, scheme, tree_kind, key_seed).expect("invalid persistence policy")
+        Self::build(cfg, scheme, tree_kind, key_seed).expect("invalid configuration")
     }
 
-    /// [`with_tree`](Self::with_tree) with policy validation surfaced as
-    /// a value: the persistence policy is resolved from the scheme plus
-    /// the `triad_levels`/`shadow_counters` knobs and rejected with a
-    /// typed [`ConfigError::Policy`](crate::crash::ConfigError) when the
-    /// combination is illegal (depth beyond the tree height, selective
-    /// depth on a forest).
+    /// [`with_tree`](Self::with_tree) with validation surfaced as a
+    /// value: a SecPB scheme's buffer geometry is checked with
+    /// [`ConfigError::check_secpb`], and the persistence policy is
+    /// resolved from the scheme plus the `triad_levels`/`shadow_counters`
+    /// knobs and rejected when the combination is illegal (depth beyond
+    /// the tree height, selective depth on a forest).
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Policy`](crate::crash::ConfigError) on an illegal
+    /// [`ConfigError::ZeroSecPbEntries`] or
+    /// [`ConfigError::InvalidWatermarks`] on a degenerate SecPB (only for
+    /// schemes that keep one), [`ConfigError::Policy`] on an illegal
     /// policy assignment.
     pub fn build(
         cfg: SystemConfig,
         scheme: Scheme,
         tree_kind: TreeKind,
         key_seed: u64,
-    ) -> Result<Self, crate::crash::ConfigError> {
+    ) -> Result<Self, ConfigError> {
+        if scheme.uses_secpb() {
+            ConfigError::check_secpb(&cfg.secpb)?;
+        }
         let policy = PersistencePolicy::resolve(scheme, &cfg.security, tree_kind)?;
         let domain = PersistDomain::new(
             DomainKeys::SECPB,
@@ -333,17 +340,6 @@ impl SecureSystem {
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&TelemetrySink> {
         self.stats.sink()
-    }
-
-    /// Where the measured cycles have gone so far.  `drain_wait` is only
-    /// computed when a run completes, so this in-progress view omits it.
-    pub fn cycle_breakdown(&self) -> CycleBreakdown {
-        self.breakdown
-    }
-
-    /// Per-level hit counts from the data-cache hierarchy.
-    pub fn hierarchy_stats(&self) -> secpb_mem::hierarchy::HierarchyStats {
-        self.hierarchy.stats()
     }
 
     /// The SecPB (for occupancy inspection in tests).

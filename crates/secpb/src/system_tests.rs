@@ -7,7 +7,7 @@ use secpb_sim::fxhash::FxHashMap;
 use secpb_sim::trace::{Access, TraceItem};
 use secpb_sim::tracer::Phase;
 
-use crate::crash::{BlockVerdict, CrashKind, DrainPolicy};
+use crate::crash::{BlockVerdict, ConfigError, CrashKind, DrainPolicy};
 use crate::facade::PersistSystem as _;
 use crate::metrics::{counters, histograms};
 use crate::scheme::Scheme;
@@ -330,7 +330,7 @@ fn recovery_time_grows_with_persistent_footprint() {
         sys.run_trace(store_trace(stores, 4096));
         sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
             .unwrap();
-        sys.estimated_recovery_cycles()
+        sys.recovery_cost().cycles
     };
     let small = measure(20);
     let large = measure(400);
@@ -344,7 +344,7 @@ fn recovery_time_grows_with_persistent_footprint() {
 #[test]
 fn empty_system_recovers_instantly() {
     let sys = system(Scheme::Cobcm);
-    assert_eq!(sys.estimated_recovery_cycles(), 0);
+    assert_eq!(sys.recovery_cost().cycles, 0);
 }
 
 #[test]
@@ -463,4 +463,29 @@ fn cm_with_forest_recovers() {
             .unwrap();
         assert!(sys.recover().is_consistent(), "{kind:?}");
     }
+}
+
+#[test]
+fn build_rejects_degenerate_secpb_only_for_buffered_schemes() {
+    let zero = SystemConfig::default().with_secpb_entries(0);
+    let mut inverted = SystemConfig::default();
+    inverted.secpb.high_watermark = 0.2;
+    inverted.secpb.low_watermark = 0.8;
+    for scheme in Scheme::SECPB_SCHEMES.into_iter().chain([Scheme::Bbb]) {
+        assert_eq!(
+            SecureSystem::build(zero.clone(), scheme, TreeKind::Monolithic, 1).err(),
+            Some(ConfigError::ZeroSecPbEntries),
+            "{scheme}"
+        );
+        assert!(
+            matches!(
+                SecureSystem::build(inverted.clone(), scheme, TreeKind::Monolithic, 1),
+                Err(ConfigError::InvalidWatermarks { .. })
+            ),
+            "{scheme}"
+        );
+    }
+    // `SP` keeps no SecPB, so its geometry is irrelevant.
+    let mut sp = SecureSystem::build(zero, Scheme::Sp, TreeKind::Monolithic, 1).unwrap();
+    assert!(sp.run_trace(store_trace(20, 4096)).cycles > 0);
 }

@@ -71,8 +71,6 @@ impl CacheConfig {
 /// when the SecPB stalls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
-    /// Core clock frequency in Hz (4.00 GHz in Table I).
-    pub freq_hz: f64,
     /// Maximum instructions retired per cycle.
     pub retire_width: u32,
     /// Store buffer entries between the core and the L1D/SecPB.
@@ -92,7 +90,6 @@ pub struct CoreConfig {
 impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
-            freq_hz: 4.0e9,
             retire_width: 4,
             store_buffer_entries: 56,
             load_exposure: 0.35,
@@ -106,8 +103,6 @@ impl Default for CoreConfig {
 pub struct SecPbConfig {
     /// Number of entries (default 32; swept over 8..=512 in Section VI-D).
     pub entries: usize,
-    /// Entry size in bytes (260 B: Dp + O + Dc + C + B + M fields).
-    pub entry_bytes: usize,
     /// Access latency in cycles.
     pub access_latency: u64,
     /// High watermark as a fraction of capacity at which background
@@ -121,7 +116,6 @@ impl Default for SecPbConfig {
     fn default() -> Self {
         SecPbConfig {
             entries: 32,
-            entry_bytes: 260,
             access_latency: 2,
             high_watermark: 0.75,
             low_watermark: 0.50,
@@ -203,10 +197,6 @@ pub struct NvmConfig {
     pub read_latency: Cycle,
     /// Write latency in core cycles (150 ns at 4 GHz = 600).
     pub write_latency: Cycle,
-    /// Write queue entries (128).
-    pub write_queue_entries: usize,
-    /// Read queue entries (64).
-    pub read_queue_entries: usize,
     /// Number of banks the NVM can service in parallel.  Latency per
     /// access is 55/150 ns, but a buffered 1200 MHz PCM DIMM sustains far
     /// higher bandwidth than 1/latency; 64 banks at 600-cycle writes gives
@@ -223,8 +213,6 @@ impl Default for NvmConfig {
             size_bytes: 8 << 30,
             read_latency: Cycle(ns_to_cycles(55.0, freq)),
             write_latency: Cycle(ns_to_cycles(150.0, freq)),
-            write_queue_entries: 128,
-            read_queue_entries: 64,
             banks: 64,
         }
     }
@@ -283,13 +271,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different BMT height (the BMF study of
-    /// Section VI-E reduces 8 levels to 2 for DBMF and 5 for SBMF).
-    pub fn with_bmt_levels(mut self, levels: u32) -> Self {
-        self.security.bmt_levels = levels;
-        self
-    }
-
     /// Returns a copy with the Section IV-A coalescing optimization
     /// toggled.
     pub fn with_value_independent_coalescing(mut self, on: bool) -> Self {
@@ -341,13 +322,6 @@ impl SystemConfig {
         self.secpb.low_watermark = low;
         self
     }
-
-    /// Full latency in cycles of a BMT root update from leaf to root,
-    /// assuming every level hits in the BMT cache (Section VI-B:
-    /// 8 x 40 = 320 cycles).
-    pub fn bmt_root_update_latency(&self) -> u64 {
-        u64::from(self.security.bmt_levels) * self.security.bmt_hash_latency
-    }
 }
 
 #[cfg(test)]
@@ -366,13 +340,10 @@ mod tests {
         assert_eq!(c.l3.access_latency, 30);
         assert_eq!(c.wpq_entries, 32);
         assert_eq!(c.secpb.entries, 32);
-        assert_eq!(c.secpb.entry_bytes, 260);
         assert_eq!(c.security.bmt_levels, 8);
         assert_eq!(c.security.mac_latency, 40);
         assert_eq!(c.nvm.read_latency, Cycle(220));
         assert_eq!(c.nvm.write_latency, Cycle(600));
-        assert_eq!(c.nvm.write_queue_entries, 128);
-        assert_eq!(c.nvm.read_queue_entries, 64);
     }
 
     #[test]
@@ -392,13 +363,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn cache_rejects_non_pow2_sets() {
         CacheConfig::new(3 * 8 * 64, 8, 64, 2);
-    }
-
-    #[test]
-    fn bmt_root_update_latency_is_levels_times_hash() {
-        let c = SystemConfig::default();
-        assert_eq!(c.bmt_root_update_latency(), 320);
-        assert_eq!(c.with_bmt_levels(2).bmt_root_update_latency(), 80);
     }
 
     #[test]

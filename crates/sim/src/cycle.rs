@@ -59,11 +59,6 @@ impl Cycle {
     pub fn since(self, earlier: Cycle) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
-
-    /// Converts this timestamp to seconds at the given core frequency.
-    pub fn to_seconds(self, freq_hz: f64) -> f64 {
-        self.0 as f64 / freq_hz
-    }
 }
 
 impl fmt::Display for Cycle {
@@ -136,11 +131,6 @@ pub fn ns_to_cycles(ns: f64, freq_hz: f64) -> u64 {
     (ns * 1e-9 * freq_hz).round() as u64
 }
 
-/// Converts a cycle count to nanoseconds at `freq_hz`.
-pub fn cycles_to_ns(cycles: u64, freq_hz: f64) -> f64 {
-    cycles as f64 / freq_hz * 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,21 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn ns_round_trips_at_4ghz() {
+    fn ns_converts_at_4ghz() {
         let f = 4.0e9;
         assert_eq!(ns_to_cycles(55.0, f), 220);
         assert_eq!(ns_to_cycles(150.0, f), 600);
-        assert!((cycles_to_ns(220, f) - 55.0).abs() < 1e-9);
     }
 
     #[test]
     fn ordering_and_display() {
         assert!(Cycle(1) < Cycle(2));
         assert_eq!(format!("{}", Cycle(42)), "cycle 42");
-    }
-
-    #[test]
-    fn to_seconds() {
-        assert!((Cycle(4_000_000_000).to_seconds(4.0e9) - 1.0).abs() < 1e-12);
     }
 }

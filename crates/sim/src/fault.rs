@@ -7,10 +7,10 @@
 //! drain actually gets ([`BrownOut`]), and *what* persistent state gets
 //! corrupted ([`BitFlip`]/[`FlipTarget`]).
 //!
-//! Everything here is a pure description — the model crates interpret a
-//! [`FaultPlan`] against their own state, so the same plan replayed
-//! against the same trace and seed produces bit-identical faults.  The
-//! plan types live in `secpb-sim` (the dependency root) so every layer —
+//! Everything here is a pure description — the harnesses interpret these
+//! types against their own state, so the same schedule replayed against
+//! the same trace and seed produces bit-identical faults.  The types
+//! live in `secpb-sim` (the dependency root) so every layer —
 //! single-core, eADR, multi-core, and the bench harness — can speak them
 //! without cycles in the crate graph.
 
@@ -116,52 +116,7 @@ impl BitFlip {
     }
 }
 
-/// A complete fault plan: trigger, optional brown-out, and the bit flips
-/// to inject at each crash point.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    /// Seed for victim selection (and [`BitFlip::derive`]).
-    pub seed: u64,
-    /// When to crash.
-    pub trigger: CrashTrigger,
-    /// Battery truncation, if the run models an under-provisioned
-    /// battery.
-    pub brown_out: Option<BrownOut>,
-    /// Flips applied at each crash point (may be empty).
-    pub flips: Vec<BitFlip>,
-}
-
-impl FaultPlan {
-    /// A plan that never fires.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// A crash-storm plan: crash every `n` stores, one derived flip per
-    /// crash point.
-    pub fn storm(seed: u64, every_n_stores: u64) -> Self {
-        FaultPlan {
-            seed,
-            trigger: CrashTrigger::EveryNthStore(every_n_stores.max(1)),
-            brown_out: None,
-            flips: Vec::new(),
-        }
-    }
-
-    /// Adds a brown-out budget.
-    pub fn with_brown_out(mut self, budget_joules: f64) -> Self {
-        self.brown_out = Some(BrownOut::with_budget(budget_joules));
-        self
-    }
-
-    /// Adds an explicit flip.
-    pub fn with_flip(mut self, flip: BitFlip) -> Self {
-        self.flips.push(flip);
-        self
-    }
-}
-
-/// Replay-side bookkeeping for a [`FaultPlan`]: counts stores and
+/// Replay-side bookkeeping for a [`CrashTrigger`]: counts stores and
 /// decides when the trigger fires.  Deterministic — the decision is a
 /// pure function of the observation sequence.
 #[derive(Debug, Clone)]
@@ -193,7 +148,7 @@ impl FaultClock {
 
     /// Observes one completed store; `now_cycle` is the clock after the
     /// store, `drains_in_flight` whether background drains are pending.
-    /// Returns `true` if the plan says "crash now".
+    /// Returns `true` if the trigger says "crash now".
     pub fn observe_store(&mut self, now_cycle: u64, drains_in_flight: bool) -> bool {
         self.stores_seen += 1;
         let fire = match self.trigger {
@@ -226,8 +181,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_plan_never_fires() {
-        let mut clock = FaultClock::new(FaultPlan::none().trigger);
+    fn default_trigger_never_fires() {
+        let mut clock = FaultClock::new(CrashTrigger::default());
         for i in 0..1000 {
             assert!(!clock.observe_store(i, i % 2 == 0));
         }
@@ -293,14 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_builders() {
-        let p = FaultPlan::storm(3, 0);
-        assert_eq!(p.trigger, CrashTrigger::EveryNthStore(1), "clamped to 1");
-        let p = FaultPlan::none()
-            .with_brown_out(1e-3)
-            .with_flip(BitFlip::derive(1, 0));
-        assert_eq!(p.brown_out.unwrap().budget_joules, 1e-3);
-        assert_eq!(p.flips.len(), 1);
+    fn flip_target_names() {
         assert_eq!(FlipTarget::Mac.name(), "mac");
     }
 }

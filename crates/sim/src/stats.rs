@@ -516,14 +516,6 @@ impl Stats {
         self.sink.as_ref()
     }
 
-    /// Iterates over `(name, id)` for all registered counters in name
-    /// order — the mapping telemetry consumers use to resolve wire ids.
-    pub fn counter_entries(&self) -> impl Iterator<Item = (&str, StatId)> {
-        self.counter_ids
-            .iter()
-            .map(|(k, &id)| (k.as_str(), StatId(id)))
-    }
-
     /// Iterates over `(name, id)` for all registered histograms in name
     /// order.
     pub fn histogram_entries(&self) -> impl Iterator<Item = (&str, HistId)> {

@@ -97,8 +97,8 @@ pub enum TelemetryEvent {
         /// Cycle at which recovery ran.
         cycle: u64,
     },
-    /// The model-invariant anomaly counter (`fault.anomalies` /
-    /// `mc.anomalies`) transitioned to `count`.
+    /// The model-invariant anomaly counter (`fault.anomalies`)
+    /// transitioned to `count`.
     AnomalyMarker {
         /// New cumulative anomaly count.
         count: u64,
@@ -473,13 +473,6 @@ impl HealthMonitor {
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Shadow histogram for a registry histogram id, if any samples for
-    /// it have flowed through the ring.
-    #[must_use]
-    pub fn shadow_histogram(&self, index: usize) -> Option<&Log2Histogram> {
-        self.hists.get(index)
     }
 
     /// Builds a snapshot combining stream-derived latency distributions

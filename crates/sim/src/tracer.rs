@@ -108,9 +108,6 @@ pub struct SpanEvent {
     pub duration: u64,
 }
 
-/// Default capture-buffer capacity (spans) when capture is enabled.
-pub const DEFAULT_CAPTURE_CAPACITY: usize = 1 << 20;
-
 /// Per-phase cycle aggregation plus optional bounded span capture.
 ///
 /// Like [`crate::stats::Stats`], a tracer may carry a live
@@ -177,11 +174,6 @@ impl Tracer {
         let mut t = Tracer::new();
         t.capture_capacity = capacity;
         t
-    }
-
-    /// Whether individual spans are being captured.
-    pub fn capturing(&self) -> bool {
-        self.capture_capacity > 0
     }
 
     /// Attaches (or with `None` detaches) a live telemetry sink; every
@@ -410,7 +402,6 @@ mod tests {
         t.reset();
         assert_eq!(t.cycles(Phase::Mac), 0);
         assert!(t.events().is_empty());
-        assert!(t.capturing());
         t.span(Phase::Mac, Cycle(0), Cycle(4));
         assert_eq!(t.events().len(), 1);
     }

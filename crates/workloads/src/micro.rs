@@ -31,38 +31,6 @@ pub fn hot_set_writes(stores: u64, hot_blocks: u64, gap: u32, seed: u64) -> Vec<
         .collect()
 }
 
-/// Uniform random stores over a working set — the thrashing regime when
-/// the working set exceeds the SecPB.
-pub fn random_writes(stores: u64, working_set_blocks: u64, gap: u32, seed: u64) -> Vec<TraceItem> {
-    assert!(working_set_blocks > 0, "need a non-empty working set");
-    let mut rng = Rng::seed_from(seed);
-    (0..stores)
-        .map(|i| {
-            let block = MICRO_BASE + rng.below(working_set_blocks);
-            TraceItem::then(gap, Access::store(Address(block * 64), i))
-        })
-        .collect()
-}
-
-/// A pointer-chase of loads with occasional stores — a latency-bound
-/// pattern where persistence work should hide entirely.
-pub fn pointer_chase(steps: u64, chain_blocks: u64, store_every: u64, seed: u64) -> Vec<TraceItem> {
-    assert!(chain_blocks > 0, "need a non-empty chain");
-    let mut rng = Rng::seed_from(seed);
-    let mut cursor = 0u64;
-    (0..steps)
-        .map(|i| {
-            cursor = (cursor + 1 + rng.below(chain_blocks)) % chain_blocks;
-            let addr = Address((MICRO_BASE + (1 << 20) + cursor) * 64);
-            if store_every > 0 && i % store_every == store_every - 1 {
-                TraceItem::then(3, Access::store(addr, i))
-            } else {
-                TraceItem::then(3, Access::load(addr))
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,29 +51,6 @@ mod tests {
         assert_eq!(s.stores, 1000);
         assert_eq!(s.store_blocks, 8);
         assert!(s.stores_per_block() > 100.0);
-    }
-
-    #[test]
-    fn random_writes_cover_working_set() {
-        let t = random_writes(5000, 64, 9, 2);
-        let s = TraceSummary::of(&t);
-        assert_eq!(s.store_blocks, 64, "5000 draws should cover all 64 blocks");
-    }
-
-    #[test]
-    fn pointer_chase_mixes_loads_and_stores() {
-        let t = pointer_chase(1000, 256, 10, 3);
-        let s = TraceSummary::of(&t);
-        assert_eq!(s.stores, 100);
-        assert_eq!(s.loads, 900);
-    }
-
-    #[test]
-    fn pointer_chase_without_stores() {
-        let t = pointer_chase(100, 16, 0, 3);
-        let s = TraceSummary::of(&t);
-        assert_eq!(s.stores, 0);
-        assert_eq!(s.loads, 100);
     }
 
     #[test]

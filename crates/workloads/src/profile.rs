@@ -121,12 +121,6 @@ impl WorkloadProfile {
         (1.0 / (1.0 - self.rewrite_frac.min(0.99))).max(1.0)
     }
 
-    /// Fresh SecPB allocations per kilo-instruction the profile produces
-    /// when its rewrites coalesce (the CM/NoGap critical-path driver).
-    pub fn allocations_per_kilo_estimate(&self) -> f64 {
-        self.stores_per_kilo / self.nwpe_estimate()
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -217,18 +211,5 @@ mod tests {
         let mut r = WorkloadProfile::named("gcc").unwrap();
         r.rewrite_window = 0;
         assert!(r.validate().is_err());
-    }
-
-    #[test]
-    fn allocation_rate_estimates() {
-        // The suite-wide mean allocation rate drives the Table IV
-        // averages; it should sit in the low single digits.
-        let suite = WorkloadProfile::spec_suite();
-        let mean: f64 = suite
-            .iter()
-            .map(|p| p.allocations_per_kilo_estimate())
-            .sum::<f64>()
-            / suite.len() as f64;
-        assert!(mean > 1.0 && mean < 15.0, "mean allocations/kilo = {mean}");
     }
 }

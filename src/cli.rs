@@ -395,7 +395,7 @@ fn cmd_crash(args: &[String]) -> Result<String, String> {
     let _ = writeln!(
         out,
         "estimated recovery   {} cycles",
-        sys.estimated_recovery_cycles()
+        sys.recovery_cost().cycles
     );
     let _ = writeln!(out, "consistent           {}", recovery.is_consistent());
     if !recovery.is_consistent() {
@@ -934,6 +934,14 @@ mod tests {
         assert!(run(&["run", "hmmer", "nonesuch"])
             .unwrap_err()
             .contains("unknown scheme"));
+        for scheme in ["cobcm", "nogap", "bbb"] {
+            let err = run(&["run", "hmmer", scheme, "0", "2000"]).unwrap_err();
+            assert!(
+                err.contains("invalid configuration") && err.contains("at least one entry"),
+                "{scheme}: {err}"
+            );
+        }
+        assert!(run(&["run", "hmmer", "sp", "0", "2000"]).is_ok());
     }
 
     #[test]
@@ -1045,6 +1053,10 @@ mod tests {
         assert!(err.contains("unknown argument"), "{err}");
         let err = run(&["reproduce", "validate-ipc", "abc"]).unwrap_err();
         assert!(err.contains("bad instruction count"), "{err}");
+        for artifact in ["table4", "fig6", "fig7", "fig9", "ablations"] {
+            let err = run(&["reproduce", artifact, "0"]).unwrap_err();
+            assert!(err.contains("must be positive"), "{artifact}: {err}");
+        }
         let err = run(&["reproduce", "fig10"]).unwrap_err();
         assert!(
             err.contains("unknown artifact") && err.contains("validate-ipc"),

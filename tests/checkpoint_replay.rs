@@ -7,7 +7,6 @@
 //! replayed epochs is indistinguishable from one that never crashed.
 
 use secpb::core::crash::{CrashKind, DrainPolicy};
-use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::core::tree::TreeKind;
@@ -196,27 +195,6 @@ fn policy_knobs_fingerprint_the_checkpoint() {
         shadow.restore_bytes(&bytes),
         Err(CheckpointError::ConfigMismatch)
     );
-}
-
-#[test]
-fn facade_exposes_checkpoint_only_on_the_single_core_front() {
-    let mut secure: Box<dyn PersistSystem> =
-        Box::new(SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 1));
-    let bytes = secure.checkpoint().expect("single-core front checkpoints");
-    secure.restore(&bytes).expect("single-core front restores");
-
-    let mut eadr: Box<dyn PersistSystem> = Box::new(secpb::core::eadr::EadrSystem::new(
-        SystemConfig::default(),
-        1,
-    ));
-    assert_eq!(eadr.checkpoint(), Err(CheckpointError::Unsupported));
-    assert_eq!(eadr.restore(&bytes), Err(CheckpointError::Unsupported));
-
-    let mc: Box<dyn PersistSystem> = Box::new(
-        secpb::core::multicore::MultiCoreSystem::new(SystemConfig::default(), Scheme::Cobcm, 2, 1)
-            .unwrap(),
-    );
-    assert_eq!(mc.checkpoint(), Err(CheckpointError::Unsupported));
 }
 
 #[test]

@@ -7,14 +7,11 @@
 //! bound.  These tests pin that promise, plus the QoS epoch bound and
 //! the trace-file ingest error contract.
 
-use secpb_bench::serve::{
-    run_serve, PrivilegeToken, QosClass, ServeConfig, ServeError, ServeOutcome, TenantSpec,
-};
+use secpb_bench::serve::{run_serve, QosClass, ServeConfig, ServeError, ServeOutcome, TenantSpec};
 use secpb_workloads::{trace_io, TraceGenerator, WorkloadProfile};
 
 /// The four-tenant population used throughout (mixed QoS classes).
 fn tenants() -> Vec<TenantSpec> {
-    let token = PrivilegeToken::acquire();
     let mut cfg = ServeConfig::new(1);
     for (i, (bench, qos)) in [
         ("gamess", QosClass::Gold),
@@ -31,7 +28,7 @@ fn tenants() -> Vec<TenantSpec> {
             WorkloadProfile::named(bench).expect("known benchmark"),
             5_000,
         ));
-        cfg.set_qos(&name, *qos, &token).expect("tenant just added");
+        cfg.set_qos(&name, *qos).expect("tenant just added");
     }
     cfg.tenants
 }
