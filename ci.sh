@@ -176,6 +176,7 @@ echo "==> live telemetry watch smoke (storm cell, snapshots + zero anomalies)"
 WATCH_OUT=$(./target/release/secpb watch gamess cobcm --quick)
 echo "$WATCH_OUT" | grep -q '"seq":1' || { echo "ci.sh: watch streamed no snapshots" >&2; exit 1; }
 echo "$WATCH_OUT" | grep -q '^anomalies    0$' || { echo "ci.sh: watch reported anomalies" >&2; exit 1; }
+./target/release/secpb watch gamess cobcm --quick --front mc2 > /dev/null
 
 if [ "$UPDATE_BASELINE" = 1 ]; then
   echo "==> regenerate BENCH_grid.json (full grid wall-clock baseline)"

@@ -9,8 +9,6 @@
 //! only way the paper's per-benchmark outliers (e.g. gamess at 18× under
 //! CM) are consistent with its reported averages.
 
-use secpb_core::crash::{CrashKind, DrainPolicy};
-use secpb_core::facade::PersistSystem;
 use secpb_core::metrics::RunResult;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
@@ -23,6 +21,8 @@ use secpb_sim::json::Json;
 use secpb_sim::pool;
 use secpb_sim::telemetry::{self, TelemetrySink};
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
+
+use crate::scenario::{run_scenario, Outcome, Scenario};
 
 /// Default per-benchmark instruction budget.
 pub const DEFAULT_INSTRUCTIONS: u64 = 1_000_000;
@@ -95,11 +95,7 @@ pub fn run_benchmark(
     tree: TreeKind,
     instructions: u64,
 ) -> RunResult {
-    let mut generator = TraceGenerator::new(profile.clone(), trace_seed(&profile.name));
-    let mut sys = SecureSystem::with_tree(cfg, scheme, tree, cell_seed(scheme, &profile.name));
-    sys.run_trace(generator.stream(warmup_for(instructions)));
-    sys.reset_measurement();
-    sys.run_trace(generator.stream(instructions))
+    measure(profile, scheme, cfg, tree, instructions, None, None).0
 }
 
 /// Like [`run_benchmark`] but enables span capture for the measurement
@@ -113,11 +109,37 @@ pub fn run_benchmark_instrumented(
     instructions: u64,
     capture: usize,
 ) -> (RunResult, SecureSystem) {
+    measure(
+        profile,
+        scheme,
+        cfg,
+        tree,
+        instructions,
+        None,
+        Some(capture),
+    )
+}
+
+/// The warm-up + measurement run every benchmark entry point shares:
+/// `sink` is attached for the whole run, `capture` turns on span capture
+/// for the measurement region only.
+fn measure(
+    profile: &WorkloadProfile,
+    scheme: Scheme,
+    cfg: SystemConfig,
+    tree: TreeKind,
+    instructions: u64,
+    sink: Option<TelemetrySink>,
+    capture: Option<usize>,
+) -> (RunResult, SecureSystem) {
     let mut generator = TraceGenerator::new(profile.clone(), trace_seed(&profile.name));
     let mut sys = SecureSystem::with_tree(cfg, scheme, tree, cell_seed(scheme, &profile.name));
+    sys.set_telemetry(sink);
     sys.run_trace(generator.stream(warmup_for(instructions)));
     sys.reset_measurement();
-    sys.enable_trace_capture(capture);
+    if let Some(capacity) = capture {
+        sys.enable_trace_capture(capacity);
+    }
     let r = sys.run_trace(generator.stream(instructions));
     (r, sys)
 }
@@ -177,12 +199,14 @@ impl GridCell {
         )
     }
 
-    /// Runs this cell and then crash-tests it: power loss, full drain,
-    /// and verified recovery over the persisted state.  The returned
-    /// [`RunResult`] is byte-identical to [`run`](Self::run)'s; the
-    /// [`RecoveryCheck`] carries the cell's recovery verdict so grid
-    /// reports can surface failures instead of timing alone.
-    pub fn run_with_recovery(&self) -> (RunResult, RecoveryCheck) {
+    /// Runs this cell and then crash-tests it with the scenario runner's
+    /// crash-at-end check: power loss, full drain, and verified recovery
+    /// over the persisted state.  The returned [`RunResult`] is
+    /// byte-identical to [`run`](Self::run)'s; the [`Outcome`] carries
+    /// the cell's recovery verdict, verified block count and recovery
+    /// latency so grid reports can surface failures instead of timing
+    /// alone.
+    pub fn run_with_recovery(&self) -> (RunResult, Outcome) {
         self.run_checked(None)
     }
 
@@ -190,7 +214,7 @@ impl GridCell {
     /// telemetry ring of `ring_capacity` events attached for the whole
     /// run (warm-up, measurement, crash, recovery).  The ring is drained
     /// after the cell completes and summarized as a [`TelemetryDigest`];
-    /// the [`RunResult`] and [`RecoveryCheck`] are byte-identical to the
+    /// the [`RunResult`] and [`Outcome`] are byte-identical to the
     /// untelemetered path — events observe, never steer.
     ///
     /// Each call owns a private ring, so pool workers running many cells
@@ -198,13 +222,10 @@ impl GridCell {
     pub fn run_with_recovery_telemetered(
         &self,
         ring_capacity: usize,
-    ) -> (RunResult, RecoveryCheck, TelemetryDigest) {
+    ) -> (RunResult, Outcome, TelemetryDigest) {
         let (sink, mut reader) = telemetry::channel(ring_capacity);
         let (result, check) = self.run_checked(Some(sink.clone()));
-        let mut events = 0u64;
-        while reader.pop().is_some() {
-            events += 1;
-        }
+        let events = std::iter::from_fn(|| reader.pop()).count() as u64;
         (
             result,
             check,
@@ -215,69 +236,20 @@ impl GridCell {
         )
     }
 
-    fn run_checked(&self, sink: Option<TelemetrySink>) -> (RunResult, RecoveryCheck) {
-        let mut generator =
-            TraceGenerator::new(self.profile.clone(), trace_seed(&self.profile.name));
-        let mut sys = SecureSystem::with_tree(
-            self.cfg.clone(),
+    fn run_checked(&self, sink: Option<TelemetrySink>) -> (RunResult, Outcome) {
+        let (result, mut sys) = measure(
+            &self.profile,
             self.scheme,
+            self.cfg.clone(),
             self.tree,
-            cell_seed(self.scheme, &self.profile.name),
+            self.instructions,
+            sink,
+            None,
         );
-        sys.set_telemetry(sink);
-        sys.run_trace(generator.stream(warmup_for(self.instructions)));
-        sys.reset_measurement();
-        let result = sys.run_trace(generator.stream(self.instructions));
-        // The crash check drives the shared facade surface — the same
-        // entry points the storm and CLI use for every front.
-        let sys: &mut dyn PersistSystem = &mut sys;
-        let check = match sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll) {
-            Err(e) => RecoveryCheck {
-                blocks_checked: 0,
-                recovery_cycles: 0,
-                failure: Some(format!("crash drain failed: {e}")),
-            },
-            Ok(_) => {
-                let rec = sys.recover();
-                RecoveryCheck {
-                    blocks_checked: rec.blocks_checked,
-                    recovery_cycles: sys.recovery_cost().cycles,
-                    failure: if rec.is_consistent() {
-                        None
-                    } else {
-                        Some(format!(
-                            "recovery inconsistent: root_ok={}, mac_failures={}, \
-                             plaintext_mismatches={}",
-                            rec.root_ok,
-                            rec.mac_failures.len(),
-                            rec.plaintext_mismatches.len()
-                        ))
-                    },
-                }
-            }
-        };
+        let label = format!("{}/{}", self.profile.name, self.scheme.name());
+        let sc = Scenario::crash_at_end(1);
+        let check = run_scenario(&mut sys, [], &sc, label, &mut |_| Ok(()));
         (result, check)
-    }
-}
-
-/// The crash-recovery verdict of one grid cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryCheck {
-    /// Data blocks recovery decrypted and verified.
-    pub blocks_checked: u64,
-    /// Estimated recovery-sweep latency (cycles) for the cell's
-    /// post-crash persisted footprint — the quantity recovery-time work
-    /// like Anubis and Triad-NVM optimizes, surfaced per cell so grids
-    /// can chart it.  Zero when the crash drain itself failed.
-    pub recovery_cycles: u64,
-    /// `None` when recovery was fully consistent; otherwise what failed.
-    pub failure: Option<String>,
-}
-
-impl RecoveryCheck {
-    /// Whether the cell recovered consistently.
-    pub fn ok(&self) -> bool {
-        self.failure.is_none()
     }
 }
 

@@ -137,26 +137,22 @@ pub fn run_grid_bench(cfg: &GridConfig) -> Result<Rendered, String> {
     // verified recovery) so a cell that persists garbage fails the grid
     // instead of silently reporting timing only.
     let t0 = Instant::now();
-    let (serial_checked, cell_seconds): (Vec<_>, Vec<_>) = cells
-        .iter()
-        .map(|c| {
-            let t = Instant::now();
-            let (r, check, digest) = if telemetry {
-                c.run_with_recovery_telemetered(1 << 16)
-            } else {
-                let (r, check) = c.run_with_recovery();
-                (r, check, TelemetryDigest::default())
-            };
-            ((r, check, digest), t.elapsed().as_secs_f64())
-        })
-        .unzip();
-    let serial_s = t0.elapsed().as_secs_f64();
     let mut serial = Vec::with_capacity(cells.len());
     let mut digests = Vec::with_capacity(cells.len());
-    for (r, check, digest) in serial_checked {
+    let mut cell_seconds = Vec::with_capacity(cells.len());
+    for c in &cells {
+        let t = Instant::now();
+        let (r, check, digest) = if telemetry {
+            c.run_with_recovery_telemetered(1 << 16)
+        } else {
+            let (r, check) = c.run_with_recovery();
+            (r, check, TelemetryDigest::default())
+        };
+        cell_seconds.push(t.elapsed().as_secs_f64());
         serial.push((r, check));
         digests.push(digest);
     }
+    let serial_s = t0.elapsed().as_secs_f64();
 
     // The parallel pass does the serial pass's work, crash tests
     // included, so `speedup` compares like with like.
@@ -221,15 +217,9 @@ pub fn run_grid_bench(cfg: &GridConfig) -> Result<Rendered, String> {
         );
     }
 
-    let recovery_failures: Vec<String> = cells
+    let recovery_failures: Vec<String> = serial
         .iter()
-        .zip(&serial)
-        .filter_map(|(c, (_, check))| {
-            check
-                .failure
-                .as_ref()
-                .map(|why| format!("{}/{}: {why}", c.profile.name, c.scheme.name()))
-        })
+        .filter_map(|(_, check)| check.failure().map(|why| format!("{}: {why}", check.label)))
         .collect();
     let recovery_blocks: u64 = serial.iter().map(|(_, c)| c.blocks_checked).sum();
     let recovery_cycles_total: u64 = serial.iter().map(|(_, c)| c.recovery_cycles).sum();
@@ -275,15 +265,12 @@ pub fn run_grid_bench(cfg: &GridConfig) -> Result<Rendered, String> {
                 .field("cycles", r.cycles)
                 .field("ipc", r.ipc())
                 .field("ns_per_store", secs * 1e9 / stores.max(1) as f64)
-                .field("recovery_ok", check.ok())
+                .field("recovery_ok", check.passed())
                 .field("recovery_blocks", check.blocks_checked)
                 .field("recovery_cycles", check.recovery_cycles)
                 .field(
                     "recovery_failure",
-                    match &check.failure {
-                        Some(why) => Json::from(why.as_str()),
-                        None => Json::Null,
-                    },
+                    check.failure().map_or(Json::Null, Json::from),
                 )
         });
     let timing = |v: f64| {

@@ -18,7 +18,9 @@
 //! The [`reproduce`] module renders each study as aligned text tables
 //! (via [`report`]) next to its JSON payload; [`grid`] and
 //! [`serve_bench`] are the wall-clock benchmarks behind `BENCH_grid.json`
-//! and `BENCH_serve.json`.
+//! and `BENCH_serve.json`.  Every crash harness — the [`storm`], `secpb
+//! watch`, the [`recovery_sweep`], the grid's per-cell recovery check and
+//! `secpb crash` — is a preset of the one [`scenario`] runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +33,7 @@ pub mod micro;
 pub mod recovery_sweep;
 pub mod report;
 pub mod reproduce;
+pub mod scenario;
 pub mod serve;
 pub mod serve_bench;
 pub mod soak;

@@ -19,15 +19,14 @@
 //! COBCM baseline — [`SweepReport::passed`] pins the ordering so the
 //! trade-off cannot silently invert.
 
-use secpb_core::crash::{CrashKind, DrainPolicy};
-use secpb_core::facade::PersistSystem;
 use secpb_core::policy::RecoveryCost;
 use secpb_core::scheme::Scheme;
-use secpb_core::system::SecureSystem;
-use secpb_core::tree::TreeKind;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::json::Json;
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
+
+use crate::report::Rendered;
+use crate::scenario::{build_front, run_scenario, Outcome, Scenario, StormFront};
 
 /// Sweep parameters: one workload, one instruction budget, one seed.
 #[derive(Debug, Clone)]
@@ -61,102 +60,70 @@ impl SweepConfig {
     }
 }
 
-/// One policy instantiation on the curve.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepFront {
-    /// Stable point label (`fastrec`, `triad4`, `nogap`, …).
-    pub name: &'static str,
-    /// The scheme (early-work assignment) the point runs.
-    pub scheme: Scheme,
-    /// Triad persistence depth (0 = root-only).
-    pub triad_levels: u8,
-    /// Whether the fast-recovery shadow layout is on.
-    pub shadow: bool,
-}
-
-impl SweepFront {
-    const fn new(name: &'static str, scheme: Scheme, triad_levels: u8, shadow: bool) -> Self {
-        SweepFront {
-            name,
-            scheme,
-            triad_levels,
-            shadow,
-        }
-    }
-}
-
-/// The swept policy points, ordered from most write-amplified /
-/// fastest-recovering to baseline-lazy.  The first four are the pinned
-/// monotone chain; the middle Triad depths chart the knee of the curve.
-pub fn sweep_fronts(bmt_levels: u32) -> Vec<SweepFront> {
+/// The swept policy points as `(label, front, scheme)`, ordered from
+/// most write-amplified / fastest-recovering to baseline-lazy: the
+/// Huang & Hua fast-recovery layout, Triad-NVM selective persistence,
+/// and plain SecPB schemes.  The first four are the pinned monotone
+/// chain; the middle Triad depths chart the knee of the curve.
+pub fn sweep_fronts(bmt_levels: u32) -> Vec<(&'static str, StormFront, Scheme)> {
     let full = bmt_levels.min(u8::MAX as u32) as u8;
     vec![
-        SweepFront::new("fastrec", Scheme::NoGap, 0, true),
-        SweepFront::new("triad-full", Scheme::NoGap, full, false),
-        SweepFront::new("nogap", Scheme::NoGap, 0, false),
-        SweepFront::new("cobcm", Scheme::Cobcm, 0, false),
-        SweepFront::new("triad4", Scheme::NoGap, 4, false),
-        SweepFront::new("triad2", Scheme::NoGap, 2, false),
-        SweepFront::new("m", Scheme::M, 0, false),
-        SweepFront::new("cm", Scheme::Cm, 0, false),
+        ("fastrec", StormFront::FastRec, Scheme::NoGap),
+        ("triad-full", StormFront::Triad(full), Scheme::NoGap),
+        ("nogap", StormFront::SecPb, Scheme::NoGap),
+        ("cobcm", StormFront::SecPb, Scheme::Cobcm),
+        ("triad4", StormFront::Triad(4), Scheme::NoGap),
+        ("triad2", StormFront::Triad(2), Scheme::NoGap),
+        ("m", StormFront::SecPb, Scheme::M),
+        ("cm", StormFront::SecPb, Scheme::Cm),
     ]
 }
 
-/// One measured point of the curve.
+/// One measured point of the curve: the scenario outcome (labelled with
+/// the point name) plus the policy's write and recovery accounting.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
-    /// Point label.
-    pub name: String,
     /// Scheme the point ran.
     pub scheme: Scheme,
     /// Durable metadata writes per leaf persist.
     pub write_amplification: f64,
-    /// Cycles from crash detection to sec-sync closure (battery work).
-    pub crash_flush_cycles: u64,
     /// The policy's exact post-crash sweep accounting.
     pub cost: RecoveryCost,
-    /// `crash_flush_cycles + cost.cycles`.
-    pub total_recovery_cycles: u64,
-    /// Whether post-crash recovery verified consistent.
-    pub consistent: bool,
-    /// `None` on success, the reason otherwise.
-    pub failure: Option<String>,
+    /// The crash check's verdict and crash report.
+    pub outcome: Outcome,
 }
 
 impl SweepPoint {
-    fn failed(name: &str, scheme: Scheme, why: String) -> Self {
-        SweepPoint {
-            name: name.to_string(),
-            scheme,
-            write_amplification: 0.0,
-            crash_flush_cycles: 0,
-            cost: RecoveryCost::default(),
-            total_recovery_cycles: 0,
-            consistent: false,
-            failure: Some(why),
-        }
+    /// Cycles from crash detection to sec-sync closure (battery work).
+    pub fn crash_flush_cycles(&self) -> u64 {
+        self.outcome
+            .last_crash
+            .as_ref()
+            .map_or(0, |c| c.secsync_complete_at.raw() - c.at.raw())
+    }
+
+    /// `crash_flush_cycles + cost.cycles`: the figure of merit.
+    pub fn total_recovery_cycles(&self) -> u64 {
+        self.crash_flush_cycles() + self.cost.cycles
     }
 
     /// JSON object for machine consumption.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .field("point", self.name.as_str())
+            .field("point", self.outcome.label.as_str())
             .field("scheme", self.scheme.name())
             .field("write_amplification", self.write_amplification)
-            .field("crash_flush_cycles", self.crash_flush_cycles)
+            .field("crash_flush_cycles", self.crash_flush_cycles())
             .field("counter_pages_read", self.cost.counter_pages_read)
             .field("tree_nodes_read", self.cost.tree_nodes_read)
             .field("hashes_folded", self.cost.hashes_folded)
             .field("blocks_swept", self.cost.blocks_swept)
             .field("recovery_cycles", self.cost.cycles)
-            .field("total_recovery_cycles", self.total_recovery_cycles)
-            .field("consistent", self.consistent)
+            .field("total_recovery_cycles", self.total_recovery_cycles())
+            .field("consistent", self.outcome.passed())
             .field(
                 "failure",
-                match &self.failure {
-                    Some(why) => Json::from(why.as_str()),
-                    None => Json::Null,
-                },
+                self.outcome.failure().map_or(Json::Null, Json::from),
             )
     }
 }
@@ -178,7 +145,7 @@ impl SweepReport {
     /// Every point consistent and the fastrec ≤ triad(full) ≤ eager-ish
     /// ≤ lazy ordering intact.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty() && self.points.iter().all(|p| p.failure.is_none())
+        self.violations.is_empty() && self.points.iter().all(|p| p.outcome.passed())
     }
 
     /// JSON object for machine consumption (embedded in
@@ -213,12 +180,12 @@ impl SweepReport {
         for p in &self.points {
             out.push_str(&format!(
                 "{:<12} {:>8.3} {:>14} {:>14} {:>14}  {}\n",
-                p.name,
+                p.outcome.label,
                 p.write_amplification,
-                p.crash_flush_cycles,
+                p.crash_flush_cycles(),
                 p.cost.cycles,
-                p.total_recovery_cycles,
-                match &p.failure {
+                p.total_recovery_cycles(),
+                match p.outcome.failure() {
                     None => "yes".to_string(),
                     Some(why) => format!("FAILED: {why}"),
                 }
@@ -234,61 +201,33 @@ impl SweepReport {
     }
 }
 
-fn run_point(cfg: &SweepConfig, front: SweepFront) -> SweepPoint {
-    let profile = match WorkloadProfile::named(&cfg.workload) {
-        Some(p) => p,
-        None => {
-            return SweepPoint::failed(
-                front.name,
-                front.scheme,
-                format!("unknown workload `{}`", cfg.workload),
-            )
-        }
+/// Runs one point: the identical trace replayed on the point's front,
+/// then the scenario runner's crash-at-end check.
+fn run_point(cfg: &SweepConfig, (label, front, scheme): (&str, StormFront, Scheme)) -> SweepPoint {
+    let failed = |why| SweepPoint {
+        scheme,
+        write_amplification: 0.0,
+        cost: RecoveryCost::default(),
+        outcome: Outcome::failed(label.to_owned(), why),
     };
-    let sys_cfg = SystemConfig::default()
-        .with_triad_levels(front.triad_levels)
-        .with_shadow_counters(front.shadow);
-    let mut sys = match SecureSystem::build(sys_cfg, front.scheme, TreeKind::Monolithic, cfg.seed) {
+    let Some(profile) = WorkloadProfile::named(&cfg.workload) else {
+        return failed(format!("unknown workload `{}`", cfg.workload));
+    };
+    let mut sys = match build_front(front, SystemConfig::default(), scheme, cfg.seed) {
         Ok(s) => s,
-        Err(e) => {
-            return SweepPoint::failed(
-                front.name,
-                front.scheme,
-                format!("invalid configuration: {e}"),
-            )
-        }
+        Err(e) => return failed(e),
     };
     // Every point replays the identical store stream: same profile, same
     // generator seed — the policy is the only axis that moves.
     let mut generator = TraceGenerator::new(profile, cfg.seed);
-    sys.run_trace(generator.stream(cfg.instructions));
-    let dyn_sys: &mut dyn PersistSystem = &mut sys;
-    let crash = match dyn_sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll) {
-        Ok(c) => c,
-        Err(e) => {
-            return SweepPoint::failed(front.name, front.scheme, format!("crash drain failed: {e}"))
-        }
-    };
-    let rec = dyn_sys.recover();
-    let cost = dyn_sys.recovery_cost();
-    let flush = crash.secsync_complete_at.raw() - crash.at.raw();
+    let trace = generator.stream(cfg.instructions);
+    let sc = Scenario::crash_at_end(front.fan_out());
+    let outcome = run_scenario(sys.as_mut(), trace, &sc, label.to_owned(), &mut |_| Ok(()));
     SweepPoint {
-        name: front.name.to_string(),
-        scheme: front.scheme,
+        scheme,
         write_amplification: sys.policy_state().write_amplification(),
-        crash_flush_cycles: flush,
-        cost,
-        total_recovery_cycles: flush + cost.cycles,
-        consistent: rec.is_consistent(),
-        failure: if rec.is_consistent() {
-            None
-        } else {
-            Some(format!(
-                "recovery inconsistent: root_ok={}, mac_failures={}",
-                rec.root_ok,
-                rec.mac_failures.len()
-            ))
-        },
+        cost: sys.recovery_cost(),
+        outcome,
     }
 }
 
@@ -305,15 +244,13 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let mut violations = Vec::new();
     let chain = ["fastrec", "triad-full", "nogap", "cobcm"];
     for pair in chain.windows(2) {
-        let find = |n: &str| points.iter().find(|p| p.name == n);
+        let find = |n: &str| points.iter().find(|p| p.outcome.label == n);
         if let (Some(a), Some(b)) = (find(pair[0]), find(pair[1])) {
-            if a.failure.is_none()
-                && b.failure.is_none()
-                && a.total_recovery_cycles > b.total_recovery_cycles
-            {
+            let (a_total, b_total) = (a.total_recovery_cycles(), b.total_recovery_cycles());
+            if a.outcome.passed() && b.outcome.passed() && a_total > b_total {
                 violations.push(format!(
-                    "{} ({} cycles) should recover no slower than {} ({} cycles)",
-                    pair[1], b.total_recovery_cycles, pair[0], a.total_recovery_cycles
+                    "{} ({b_total} cycles) should recover no slower than {} ({a_total} cycles)",
+                    pair[1], pair[0]
                 ));
             }
         }
@@ -323,6 +260,17 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         instructions: cfg.instructions,
         points,
         violations,
+    }
+}
+
+/// The gate `secpb recover-sweep` runs: the sweep's text table and JSON,
+/// failing on any inconsistent point or ordering violation.
+pub fn run_sweep_gate(cfg: &SweepConfig) -> Rendered {
+    let report = run_sweep(cfg);
+    Rendered {
+        text: report.render_text(),
+        json: Some(report.to_json()),
+        failure: (!report.passed()).then(|| "recovery sweep: FAILED".to_owned()),
     }
 }
 
@@ -337,7 +285,7 @@ mod tests {
         assert_eq!(report.points.len(), 8);
         // The trade-off is real: fastrec buys its recovery latency with
         // write amplification the baselines do not pay.
-        let by_name = |n: &str| report.points.iter().find(|p| p.name == n).unwrap();
+        let by_name = |n: &str| report.points.iter().find(|p| p.outcome.label == n).unwrap();
         assert!(by_name("fastrec").write_amplification > 1.0);
         assert!(by_name("triad-full").write_amplification > by_name("triad2").write_amplification);
         assert_eq!(by_name("nogap").write_amplification, 1.0);
@@ -361,7 +309,8 @@ mod tests {
         let report = run_sweep(&SweepConfig::quick(3));
         let text = report.render_text();
         for p in &report.points {
-            assert!(text.contains(&p.name), "missing {} in\n{text}", p.name);
+            let name = &p.outcome.label;
+            assert!(text.contains(name), "missing {name} in\n{text}");
         }
         let json = report.to_json().to_pretty();
         assert!(json.contains("recovery_cycles"));

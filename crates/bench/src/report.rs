@@ -31,6 +31,15 @@ impl From<String> for Rendered {
 }
 
 impl Rendered {
+    /// A gate's text report and its verdict, with no JSON payload.
+    pub fn gate(text: String, failure: Option<String>) -> Self {
+        Rendered {
+            text,
+            json: None,
+            failure,
+        }
+    }
+
     /// A passing run with a JSON payload.
     pub fn with_json(text: String, json: Json) -> Self {
         Rendered {

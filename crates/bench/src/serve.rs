@@ -14,7 +14,7 @@
 //!   of [`pool::run_sharded`] through bounded ingress queues with
 //!   bounded work stealing.
 //! * **Epoch-batched drains** — each shard folds its deferred security
-//!   metadata once per epoch ([`PersistSystem::sync_metadata`]): the
+//!   metadata once per epoch ([`SecureSystem::sync_metadata`]): the
 //!   lazy engine then hashes whole dirty tree levels in sibling batches
 //!   and coalesces counter digests, amortizing metadata cost across the
 //!   epoch instead of paying it per store.
@@ -61,6 +61,7 @@
 //! [`checkpoint`]: secpb_core::checkpoint
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::mpsc;
 
 use secpb_core::crash::{CrashKind, DrainPolicy};
@@ -81,7 +82,9 @@ use secpb_sim::telemetry::{
 use secpb_sim::trace::TraceItem;
 use secpb_workloads::{trace_io, TraceGenerator, WorkloadProfile};
 
-use crate::storm::energy_scheme;
+use crate::report::Rendered;
+use crate::scenario::energy_scheme;
+use crate::watch::health_gauges;
 
 /// Deterministic seed base for the service plane (tenant placement and
 /// shard key derivation both salt from here).
@@ -686,6 +689,98 @@ impl ServeOutcome {
     }
 }
 
+/// The gate `secpb serve` runs: [`run_serve`], then one line per
+/// populated shard and per tenant, the pool and resilience counters, and
+/// the verdict lines.  Fails on zero drained stores, any model-invariant
+/// anomaly, any QoS violation (each listed), or an inconsistent recovery
+/// sweep.
+///
+/// # Errors
+///
+/// Returns the [`ServeError`] if the service itself fails to run.
+pub fn run_serve_gate(cfg: &ServeConfig) -> Result<Rendered, ServeError> {
+    let out = run_serve(cfg)?;
+    let mut text = String::new();
+    let _ = writeln!(
+        text,
+        "serve shards={} workers={} tenants={} epoch={} scheme={} seed={:#x}",
+        cfg.shards,
+        cfg.workers,
+        cfg.tenants.len(),
+        cfg.epoch_len,
+        cfg.scheme.name(),
+        cfg.seed
+    );
+    for s in out.shards.iter().filter(|s| !s.tenants.is_empty()) {
+        let _ = writeln!(
+            text,
+            "shard {}  tenants=[{}] epochs={} items={} stores={} persists={} \
+             sync_hashes={} snapshots={} digest={}",
+            s.shard,
+            s.tenants.join(","),
+            s.epochs,
+            s.items,
+            s.stores,
+            s.persists,
+            s.sync_hashes,
+            s.snapshots.len(),
+            &s.digest()[..16],
+        );
+    }
+    for t in &out.tenants {
+        let _ = writeln!(
+            text,
+            "tenant {}  shard={} asid={} qos={} quota={} items={} stores={} epochs={}",
+            t.name,
+            t.shard,
+            t.asid,
+            t.qos.name(),
+            t.quota,
+            t.items,
+            t.stores,
+            t.epochs_used
+        );
+    }
+    let _ = writeln!(
+        text,
+        "pool   executed={} stolen={} max_steal_run={} max_queue_depth={} backpressure_waits={} \
+         stall_timeouts={} crash_recoveries={}",
+        out.pool.executed,
+        out.pool.stolen,
+        out.pool.max_steal_run,
+        out.pool.max_queue_depth,
+        out.pool.backpressure_waits,
+        out.pool.stall_timeouts,
+        out.pool.crash_recoveries
+    );
+    let _ = writeln!(
+        text,
+        "resilience      shed={} replayed={} restored={}",
+        out.total_shed(),
+        out.total_replayed(),
+        out.total_restored()
+    );
+    let _ = writeln!(text, "stores drained  {}", out.total_stores());
+    let _ = writeln!(text, "anomalies       {}", out.total_anomalies());
+    let _ = writeln!(text, "qos violations  {}", out.total_qos_violations());
+    let _ = writeln!(text, "consistent      {}", out.consistent());
+
+    let failure = if out.total_stores() == 0 {
+        Some("serve: drained zero stores".to_owned())
+    } else if out.total_anomalies() > 0 {
+        Some("serve: observed model-invariant anomalies".to_owned())
+    } else if out.total_qos_violations() > 0 {
+        let events: String = out.qos_events().map(|v| format!("\n  {v}")).collect();
+        let count = out.total_qos_violations();
+        Some(format!("serve: observed {count} QoS violation(s):{events}"))
+    } else if !out.consistent() {
+        Some("serve: recovery sweep was inconsistent".to_owned())
+    } else {
+        None
+    };
+    Ok(Rendered::gate(text, failure))
+}
+
 /// One epoch batch bound for a shard: the canonical concatenation of
 /// its tenants' chunks for that epoch.  `Clone` because processed
 /// batches are journaled for crash replay.
@@ -981,26 +1076,11 @@ impl ShardState {
             return;
         };
         self.monitor.absorb(reader);
-        let occupancy = self.sys.occupancy();
-        let memo = self.sys.memo_stats();
         let gauges = HealthGauges {
-            occupancy,
-            anomalies: self.sys.anomalies(),
-            nwpe: self
-                .sys
-                .stats()
-                .ratio(counters::PERSISTS, counters::ALLOCATIONS),
-            battery_joules: secpb_drain_energy(
-                energy_scheme(self.sys.scheme()),
-                occupancy as usize,
-            ),
-            recovery_cycles: self.sys.recovery_cost().cycles,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
             shed_parts: self.shed,
             replayed_chunks: self.replayed,
             restored_shards: self.restored,
+            ..health_gauges(&self.sys)
         };
         let snap = self.monitor.snapshot(
             self.sys.finish_time().raw(),

@@ -30,8 +30,9 @@ use secpb_sim::rng::Rng;
 use secpb_sim::trace::TraceItem;
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
+use crate::report::Rendered;
+use crate::scenario::energy_scheme;
 use crate::serve::{run_serve, QosClass, ServeConfig, ServeError, ServeFaultPlan, TenantSpec};
-use crate::storm::energy_scheme;
 
 /// Soak configuration: a serve shape plus the fault and restart
 /// schedules layered on top.
@@ -305,6 +306,20 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, ServeError> {
         restart_equivalent,
         min_crashes: cfg.min_crashes,
     })
+}
+
+/// The gate `secpb soak` runs: [`run_soak`] and its report under a
+/// `soak <mode> seed=<seed>` header, failing unless the soak converged.
+///
+/// # Errors
+///
+/// Propagates [`ServeError`] from [`run_soak`].
+pub fn run_soak_gate(cfg: &SoakConfig, mode: &str) -> Result<Rendered, ServeError> {
+    let out = run_soak(cfg)?;
+    Ok(Rendered::gate(
+        format!("soak {mode} seed={:#x}\n{}", cfg.seed, out.render_text()),
+        (!out.converged()).then(|| "soak: did not converge".to_owned()),
+    ))
 }
 
 #[cfg(test)]

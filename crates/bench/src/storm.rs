@@ -1,167 +1,31 @@
-//! Deterministic crash-storm harness: the fault-injection engine that
+//! Deterministic crash-storm harness: the fault-injection sweep that
 //! attacks the paper's central claim (the `(C, γ, M, R)` tuple survives
 //! power loss at *any* point).
 //!
 //! A storm replays one trace per `(front, scheme, policy, trigger)` cell
-//! and crashes the *same surviving system* at every trigger point.  At
-//! each crash it:
-//!
-//! 1. drains under an optional battery brown-out budget (converted from
-//!    joules to entries by the energy model) and reconciles the exact
-//!    drained/lost split against pre-crash occupancy,
-//! 2. injects seed-derived single-bit flips into the persisted
-//!    ciphertexts, counter blocks, MACs, and BMT root, asserting every
-//!    one is *detected* by recovery (a flip that verifies is a
-//!    [`FaultOutcome::SilentCorruption`] — a harness failure),
-//! 3. reverts each flip (they are self-inverse XORs) and re-verifies the
-//!    clean state, then resynchronises any brown-out-lost blocks so the
-//!    storm can continue on the surviving durable image.
+//! through the [scenario runner](crate::scenario) and crashes the *same
+//! surviving system* at every trigger point: each crash drains under an
+//! optional battery brown-out budget (converted from joules to entries by
+//! the energy model), reconciles the drained/lost split, and injects
+//! seed-derived single-bit flips that recovery must detect (a flip that
+//! verifies is a silent corruption — a harness failure).
 //!
 //! Everything is seed-driven: the same [`StormConfig`] replays the same
 //! crashes, victims, and bit positions, so a storm failure is a
 //! deterministic reproducer.
 
-use secpb_core::crash::{CrashKind, DrainPolicy, FaultOutcome};
-use secpb_core::eadr::EadrSystem;
-use secpb_core::facade::PersistSystem;
-use secpb_core::multicore::MultiCoreSystem;
 use secpb_core::scheme::Scheme;
-use secpb_core::system::SecureSystem;
-use secpb_core::tree::TreeKind;
-use secpb_energy::drain::{entries_within_budget, secpb_drain_energy, SchemeKind};
-use secpb_mem::store::NvmStore;
-use secpb_sim::addr::{Asid, BlockAddr};
+use secpb_energy::drain::{entries_within_budget, secpb_drain_energy};
 use secpb_sim::config::SystemConfig;
-use secpb_sim::fault::{pick_victim, BitFlip, CrashTrigger, FaultClock, FlipTarget};
+use secpb_sim::fault::CrashTrigger;
 use secpb_sim::json::Json;
 use secpb_sim::trace::{TraceItem, TraceSummary};
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
 use crate::report::Rendered;
-
-/// The energy-model view of a scheme, for brown-out budget conversion.
-/// `Sp` persists the full tuple per store like `NoGap`, so it shares
-/// NoGap's per-entry footprint (it never buffers entries anyway).
-pub fn energy_scheme(scheme: Scheme) -> SchemeKind {
-    match scheme {
-        Scheme::Bbb => SchemeKind::Bbb,
-        Scheme::Cobcm => SchemeKind::Cobcm,
-        Scheme::Obcm => SchemeKind::Obcm,
-        Scheme::Bcm => SchemeKind::Bcm,
-        Scheme::Cm => SchemeKind::Cm,
-        Scheme::M => SchemeKind::M,
-        Scheme::NoGap | Scheme::Sp => SchemeKind::NoGap,
-    }
-}
-
-/// Which system front a storm cell drives through the
-/// [`PersistSystem`] facade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StormFront {
-    /// The single-core SecPB system with the full timing pipeline.
-    SecPb,
-    /// The secure-eADR whole-hierarchy system.
-    Eadr,
-    /// The per-core-SecPB directory-coherence system with this many
-    /// cores (trace accesses are fanned out round-robin across them).
-    MultiCore(usize),
-    /// The SecPB system under Triad-NVM selective persistence: BMT
-    /// levels `0..N` are persisted durably; recovery folds the rest
-    /// from the level-`N-1` frontier.
-    Triad(u8),
-    /// The SecPB system under the Huang & Hua fast-recovery layout: a
-    /// durable shadow copy of the BMT root makes recovery a single
-    /// comparison instead of a rebuild.
-    FastRec,
-}
-
-impl StormFront {
-    /// Deterministic salt discriminant for victim/bit derivation.
-    fn salt(self) -> u64 {
-        match self {
-            StormFront::SecPb => 0,
-            StormFront::Eadr => 1,
-            StormFront::MultiCore(n) => 2 + n as u64,
-            StormFront::Triad(n) => 0x100 + n as u64,
-            StormFront::FastRec => 0x200,
-        }
-    }
-
-    /// The stable front label used by the CLI and every report
-    /// (`secpb`, `eadr`, `mc<N>`, `triad<N>`, `fastrec`) — the inverse
-    /// of the `FromStr` parse.
-    pub fn name(self) -> String {
-        match self {
-            StormFront::SecPb => "secpb".to_string(),
-            StormFront::Eadr => "eadr".to_string(),
-            StormFront::MultiCore(n) => format!("mc{n}"),
-            StormFront::Triad(n) => format!("triad{n}"),
-            StormFront::FastRec => "fastrec".to_string(),
-        }
-    }
-}
-
-impl std::str::FromStr for StormFront {
-    type Err = String;
-
-    /// Parses `secpb`, `eadr`, `mc<N>` (e.g. `mc4`), `triad<N>`
-    /// (e.g. `triad4`), or `fastrec`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "secpb" => Ok(StormFront::SecPb),
-            "eadr" => Ok(StormFront::Eadr),
-            "fastrec" => Ok(StormFront::FastRec),
-            _ => s
-                .strip_prefix("mc")
-                .and_then(|n| n.parse::<usize>().ok())
-                .map(StormFront::MultiCore)
-                .or_else(|| {
-                    s.strip_prefix("triad")
-                        .and_then(|n| n.parse::<u8>().ok())
-                        .map(StormFront::Triad)
-                })
-                .ok_or_else(|| {
-                    format!("unknown front `{s}`; try secpb, eadr, mc<N>, triad<N>, or fastrec")
-                }),
-        }
-    }
-}
-
-/// Which crash kind + drain policy a storm cell exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StormPolicy {
-    /// Power loss; everything drains ([`DrainPolicy::DrainAll`]).
-    PowerLossDrainAll,
-    /// Application crash of ASID 0; only its entries drain
-    /// ([`DrainPolicy::DrainProcess`]).
-    AppCrashDrainProcess,
-}
-
-impl StormPolicy {
-    /// Both policies, in sweep order.
-    pub const ALL: [StormPolicy; 2] = [
-        StormPolicy::PowerLossDrainAll,
-        StormPolicy::AppCrashDrainProcess,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StormPolicy::PowerLossDrainAll => "drain-all",
-            StormPolicy::AppCrashDrainProcess => "drain-process",
-        }
-    }
-
-    fn crash_args(self) -> (CrashKind, DrainPolicy) {
-        match self {
-            StormPolicy::PowerLossDrainAll => (CrashKind::PowerLoss, DrainPolicy::DrainAll),
-            StormPolicy::AppCrashDrainProcess => (
-                CrashKind::ApplicationCrash(Asid(0)),
-                DrainPolicy::DrainProcess,
-            ),
-        }
-    }
-}
+use crate::scenario::{
+    build_front, energy_scheme, run_scenario, Outcome, Scenario, StormFront, StormPolicy,
+};
 
 /// Storm parameters.  Fully determines the run: same config, same
 /// faults, same verdicts.
@@ -221,122 +85,17 @@ impl StormConfig {
     }
 }
 
-/// The verdict of one storm cell (one front × scheme × policy × trigger
-/// pass over the trace).
-#[derive(Debug, Clone)]
-pub struct CellReport {
-    /// System front under storm.
-    pub front: StormFront,
-    /// Scheme under storm.
-    pub scheme: Scheme,
-    /// Crash kind / drain policy exercised.
-    pub policy: StormPolicy,
-    /// Trigger description (`every-nth-store` or `mid-drain`).
-    pub trigger: &'static str,
-    /// Stores replayed.
-    pub stores: u64,
-    /// Crash points fired.
-    pub crashes: u64,
-    /// Entries drained across all crashes.
-    pub drained: u64,
-    /// Entries lost to brown-outs across all crashes.
-    pub lost: u64,
-    /// Crashes whose battery budget truncated the drain.
-    pub brown_out_crashes: u64,
-    /// Flips that landed in the persistent footprint.
-    pub flips_injected: u64,
-    /// Injected flips caught by integrity verification.
-    pub flips_detected: u64,
-    /// Flips skipped because the target class had no victim (provably
-    /// outside the persistent footprint) or the scheme is insecure.
-    pub flips_skipped: u64,
-    /// Injected flips that recovery accepted — always a failure.
-    pub silent_corruptions: u64,
-    /// Model-internal invariants broken during the storm (the
-    /// `fault.anomalies` counter) — always a failure.
-    pub anomalies: u64,
-    /// Accounting or sequencing failures detected by the harness itself.
-    pub failures: Vec<String>,
-}
-
-impl CellReport {
-    fn new(front: StormFront, scheme: Scheme, policy: StormPolicy, trigger: &'static str) -> Self {
-        CellReport {
-            front,
-            scheme,
-            policy,
-            trigger,
-            stores: 0,
-            crashes: 0,
-            drained: 0,
-            lost: 0,
-            brown_out_crashes: 0,
-            flips_injected: 0,
-            flips_detected: 0,
-            flips_skipped: 0,
-            silent_corruptions: 0,
-            anomalies: 0,
-            failures: Vec::new(),
-        }
-    }
-
-    /// Whether the cell met the storm contract: zero silent corruptions,
-    /// zero anomalies, zero harness failures, every injected flip
-    /// detected.
-    pub fn passed(&self) -> bool {
-        self.silent_corruptions == 0
-            && self.anomalies == 0
-            && self.failures.is_empty()
-            && self.flips_detected == self.flips_injected
-    }
-
-    /// One-line cell label, e.g. `cobcm/drain-all/every-nth-store`
-    /// (single-core SecPB), `eadr/drain-all/every-nth-store`, or
-    /// `mc4-cobcm/drain-all/every-nth-store`.
-    pub fn label(&self) -> String {
-        let head = match self.front {
-            StormFront::SecPb => self.scheme.name().to_owned(),
-            StormFront::Eadr => "eadr".to_owned(),
-            StormFront::MultiCore(n) => format!("mc{n}-{}", self.scheme.name()),
-            StormFront::Triad(n) => format!("triad{n}-{}", self.scheme.name()),
-            StormFront::FastRec => format!("fastrec-{}", self.scheme.name()),
-        };
-        format!("{head}/{}/{}", self.policy.name(), self.trigger)
-    }
-
-    /// JSON object for machine consumption.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("cell", self.label())
-            .field("stores", self.stores)
-            .field("crashes", self.crashes)
-            .field("drained", self.drained)
-            .field("lost", self.lost)
-            .field("brown_out_crashes", self.brown_out_crashes)
-            .field("flips_injected", self.flips_injected)
-            .field("flips_detected", self.flips_detected)
-            .field("flips_skipped", self.flips_skipped)
-            .field("silent_corruptions", self.silent_corruptions)
-            .field("anomalies", self.anomalies)
-            .field(
-                "failures",
-                Json::arr(self.failures.iter().map(String::as_str)),
-            )
-            .field("passed", self.passed())
-    }
-}
-
 /// The verdict of a whole storm sweep.
 #[derive(Debug, Clone, Default)]
 pub struct StormReport {
-    /// Per-cell verdicts in sweep order.
-    pub cells: Vec<CellReport>,
+    /// Per-cell outcomes in sweep order, labelled by [`cell_label`].
+    pub cells: Vec<Outcome>,
 }
 
 impl StormReport {
     /// Whether every cell passed.
     pub fn passed(&self) -> bool {
-        self.cells.iter().all(CellReport::passed)
+        self.cells.iter().all(Outcome::passed)
     }
 
     /// Total crash points fired.
@@ -357,10 +116,7 @@ impl StormReport {
     /// JSON report (`{"cells": [...], "passed": ...}`).
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .field(
-                "cells",
-                Json::arr(self.cells.iter().map(CellReport::to_json)),
-            )
+            .field("cells", Json::arr(self.cells.iter().map(Outcome::to_json)))
             .field("total_crashes", self.total_crashes())
             .field("total_flips", self.total_flips())
             .field("total_lost", self.total_lost())
@@ -377,7 +133,7 @@ impl StormReport {
         for c in &self.cells {
             out.push_str(&format!(
                 "{:<38} {:>7} {:>7} {:>8} {:>6} {:>6} {:>6} {:>5}\n",
-                c.label(),
+                c.label,
                 c.crashes,
                 c.drained,
                 c.lost,
@@ -402,50 +158,43 @@ impl StormReport {
     }
 }
 
+/// One-line cell label, e.g. `cobcm/drain-all/every-nth-store`
+/// (single-core SecPB), `eadr/drain-all/every-nth-store`, or
+/// `mc4-cobcm/drain-all/every-nth-store`.
+pub fn cell_label(
+    front: StormFront,
+    scheme: Scheme,
+    policy: StormPolicy,
+    trigger: CrashTrigger,
+) -> String {
+    let head = match front {
+        StormFront::SecPb => scheme.name().to_owned(),
+        StormFront::Eadr => "eadr".to_owned(),
+        _ => format!("{}-{}", front.name(), scheme.name()),
+    };
+    let trigger = match trigger {
+        CrashTrigger::Never => "never",
+        CrashTrigger::AtCycle(_) => "at-cycle",
+        CrashTrigger::EveryNthStore(_) => "every-nth-store",
+        CrashTrigger::MidDrain => "mid-drain",
+    };
+    format!("{head}/{}/{trigger}", policy.name())
+}
+
 /// Deterministic per-cell seed salt so different cells attack different
 /// victims/bits while staying replayable.  Bit 4 is a fixed constant so
 /// each cell keeps the victims its earlier reports recorded.
 fn cell_salt(front: StormFront, scheme: Scheme, policy: StormPolicy) -> u64 {
+    let f = match front {
+        StormFront::SecPb => 0,
+        StormFront::Eadr => 1,
+        StormFront::MultiCore(n) => 2 + n as u64,
+        StormFront::Triad(n) => 0x100 + n as u64,
+        StormFront::FastRec => 0x200,
+    };
     let s = Scheme::ALL.iter().position(|&x| x == scheme).unwrap_or(0) as u64;
     let p = matches!(policy, StormPolicy::AppCrashDrainProcess) as u64;
-    (front.salt() << 16) ^ (s << 8) ^ (1 << 4) ^ (p << 2)
-}
-
-/// Applies (or, called again with identical arguments, reverts) one
-/// self-inverse bit flip against the NVM store.  Returns a description
-/// of the victim, or `None` when the target class has no victim in the
-/// persistent footprint.
-fn apply_flip(store: &mut NvmStore, flip: BitFlip, seed: u64, injection: u64) -> Option<String> {
-    match flip.target {
-        FlipTarget::Ciphertext => {
-            let mut blocks: Vec<BlockAddr> = store.data_blocks().collect();
-            blocks.sort_unstable();
-            let victim = blocks[pick_victim(seed, injection, blocks.len())?];
-            store
-                .tamper_data(victim, flip.byte, flip.bit)
-                .then(|| format!("ciphertext {victim} byte {} bit {}", flip.byte, flip.bit))
-        }
-        FlipTarget::Counter => {
-            let mut pages: Vec<u64> = store.counter_pages().collect();
-            pages.sort_unstable();
-            let victim = pages[pick_victim(seed, injection, pages.len())?];
-            store
-                .tamper_counters(victim, flip.byte, flip.bit)
-                .then(|| format!("counter page {victim} byte {} bit {}", flip.byte, flip.bit))
-        }
-        FlipTarget::Mac => {
-            let mut blocks: Vec<BlockAddr> = store.data_blocks().collect();
-            blocks.sort_unstable();
-            let victim = blocks[pick_victim(seed, injection, blocks.len())?];
-            let bit = ((flip.byte * 8 + flip.bit as usize) % 64) as u8;
-            store
-                .tamper_mac(victim, bit)
-                .then(|| format!("mac of {victim} bit {bit}"))
-        }
-        FlipTarget::TreeRoot => store
-            .tamper_root(flip.byte, flip.bit)
-            .then(|| format!("bmt root byte {} bit {}", flip.byte, flip.bit)),
-    }
+    (f << 16) ^ (s << 8) ^ (1 << 4) ^ (p << 2)
 }
 
 /// Generates the storm trace: doubles the instruction count until the
@@ -467,232 +216,41 @@ fn storm_trace(cfg: &StormConfig) -> Result<Vec<TraceItem>, String> {
     ))
 }
 
-/// One crash point: budgeted drain, accounting reconciliation, flip
-/// inject/verify/revert cycles, clean re-verification, and golden resync
-/// of lost blocks.
-fn crash_point(
-    sys: &mut dyn PersistSystem,
-    cfg: &StormConfig,
-    rep: &mut CellReport,
-    salt: u64,
-    injection: u64,
-    budget_entries: Option<u64>,
-) {
-    let occupancy = sys.occupancy();
-    let (kind, policy) = rep.policy.crash_args();
-    let report = match sys.crash_with_budget(kind, policy, budget_entries) {
-        Ok(r) => r,
-        Err(e) => {
-            rep.failures.push(format!("crash {injection}: {e}"));
-            return;
-        }
-    };
-    rep.crashes += 1;
-    rep.drained += report.work.entries;
-    rep.lost += report.lost_block_count();
-    if report.lost_block_count() > 0 {
-        rep.brown_out_crashes += 1;
-    }
-
-    // Exact brown-out accounting: the battery drains the oldest
-    // min(occupancy, budget) entries and loses the rest — nothing more,
-    // nothing less.  (Under drain-process the eligible set is the
-    // process's entries, a subset of occupancy.)
-    let eligible = report.work.entries + report.lost_block_count();
-    if rep.policy == StormPolicy::PowerLossDrainAll && eligible != occupancy {
-        rep.failures.push(format!(
-            "crash {injection}: drained {} + lost {} != occupancy {occupancy}",
-            report.work.entries,
-            report.lost_block_count()
-        ));
-    }
-    if let Some(budget) = budget_entries {
-        let expected = eligible.min(budget);
-        if report.work.entries != expected {
-            rep.failures.push(format!(
-                "crash {injection}: drained {} entries under a {budget}-entry budget \
-                 (expected {expected})",
-                report.work.entries
-            ));
-        }
-    }
-
-    let lost = report.lost_blocks.clone();
-
-    // Clean recovery with staleness accounted must verify.
-    let clean = sys.recover_with(&lost);
-    if FaultOutcome::classify(false, &clean) != FaultOutcome::Recovered {
-        rep.failures.push(format!(
-            "crash {injection}: clean recovery not consistent (root_ok={}, macs={}, \
-             mismatches={})",
-            clean.root_ok,
-            clean.mac_failures.len(),
-            clean.plaintext_mismatches.len()
-        ));
-        return;
-    }
-
-    // Flip storm: inject, demand detection, revert.  Insecure schemes
-    // have no integrity metadata to attack, so flips are out of model.
-    if sys.secure() {
-        for f in 0..cfg.flips_per_crash {
-            let idx = injection * cfg.flips_per_crash + f;
-            let flip = BitFlip::derive(cfg.seed ^ salt, idx);
-            let Some(desc) = apply_flip(sys.nvm_store_mut(), flip, cfg.seed ^ salt, idx) else {
-                rep.flips_skipped += 1;
-                continue;
-            };
-            rep.flips_injected += 1;
-            let faulty = sys.recover_with(&lost);
-            match FaultOutcome::classify(true, &faulty) {
-                FaultOutcome::DetectedAndRejected => rep.flips_detected += 1,
-                outcome => {
-                    rep.silent_corruptions += 1;
-                    rep.failures.push(format!(
-                        "crash {injection}: flip of {desc} -> {}",
-                        outcome.name()
-                    ));
-                }
-            }
-            // Self-inverse: the identical tamper restores the bit.
-            if apply_flip(sys.nvm_store_mut(), flip, cfg.seed ^ salt, idx).is_none() {
-                rep.failures.push(format!(
-                    "crash {injection}: could not revert flip of {desc}"
-                ));
-                return;
-            }
-        }
-        let restored = sys.recover_with(&lost);
-        if !restored.is_consistent() {
-            rep.failures.push(format!(
-                "crash {injection}: state inconsistent after reverting flips"
-            ));
-            return;
-        }
-    } else {
-        rep.flips_skipped += cfg.flips_per_crash;
-    }
-
-    // Brown-out survivors: the application re-reads the (older, verified)
-    // durable image before continuing, so the storm's expectations track
-    // the truncated state.
-    if !lost.is_empty() {
-        sys.resync_lost_golden(&lost);
-    }
-}
-
-/// Builds the system front a storm cell (or the CLI) drives through the
-/// facade.  Configuration rejections surface as the typed
-/// [`ConfigError`](secpb_core::crash::ConfigError)'s friendly message.
-pub fn build_front(
-    front: StormFront,
-    sys_cfg: SystemConfig,
-    scheme: Scheme,
-    key_seed: u64,
-) -> Result<Box<dyn PersistSystem + Send>, String> {
-    let secure = |cfg| {
-        SecureSystem::build(cfg, scheme, TreeKind::Monolithic, key_seed)
-            .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
-    };
-    let built = match front {
-        StormFront::SecPb => secure(sys_cfg),
-        StormFront::Eadr => return Ok(Box::new(EadrSystem::new(sys_cfg, key_seed))),
-        StormFront::MultiCore(cores) => MultiCoreSystem::new(sys_cfg, scheme, cores, key_seed)
-            .map(|m| Box::new(m) as Box<dyn PersistSystem + Send>),
-        StormFront::Triad(levels) => secure(sys_cfg.with_triad_levels(levels)),
-        StormFront::FastRec => secure(sys_cfg.with_shadow_counters(true)),
-    };
-    built.map_err(|e| format!("invalid configuration: {e}"))
-}
-
 /// Runs one storm cell: replays the trace, crashing at every trigger
-/// point on the same surviving system, driven entirely through the
-/// [`PersistSystem`] facade.
+/// point on the same surviving system, then once more after the trace
+/// so the trailing partial window is also covered.
 pub fn run_cell(
     cfg: &StormConfig,
     front: StormFront,
     scheme: Scheme,
     policy: StormPolicy,
     trigger: CrashTrigger,
-) -> CellReport {
-    let trigger_name = match trigger {
-        CrashTrigger::Never => "never",
-        CrashTrigger::AtCycle(_) => "at-cycle",
-        CrashTrigger::EveryNthStore(_) => "every-nth-store",
-        CrashTrigger::MidDrain => "mid-drain",
-    };
-    let mut rep = CellReport::new(front, scheme, policy, trigger_name);
-    let trace = match storm_trace(cfg) {
-        Ok(t) => t,
-        Err(e) => {
-            rep.failures.push(e);
-            return rep;
-        }
-    };
+) -> Outcome {
+    let label = cell_label(front, scheme, policy, trigger);
     let salt = cell_salt(front, scheme, policy);
-    let mut sys = match build_front(front, SystemConfig::default(), scheme, cfg.seed ^ salt) {
-        Ok(s) => s,
-        Err(e) => {
-            rep.failures.push(e);
-            return rep;
-        }
+    let built = storm_trace(cfg).and_then(|trace| {
+        let sys = build_front(front, SystemConfig::default(), scheme, cfg.seed ^ salt)?;
+        Ok((trace, sys))
+    });
+    let (trace, mut sys) = match built {
+        Ok(built) => built,
+        Err(e) => return Outcome::failed(label, e),
     };
-    let mut clock = FaultClock::new(trigger);
     let budget_entries = cfg.brown_out_fraction.map(|fraction| {
         let kind = energy_scheme(scheme);
         let provisioned = secpb_drain_energy(kind, sys.config().secpb.entries);
         entries_within_budget(kind, provisioned * fraction)
     });
-    // The multi-core front fans the single-threaded trace out across its
-    // cores round-robin, so migrations and remote flushes actually fire.
-    let fan_out = match front {
-        StormFront::MultiCore(cores) => cores as u16,
-        _ => 1,
+    let sc = Scenario {
+        trigger,
+        policy,
+        flips_per_crash: cfg.flips_per_crash,
+        flip_seed: cfg.seed ^ salt,
+        budget_entries,
+        close_out: true,
+        fan_out: front.fan_out(),
     };
-    let mut access_idx = 0u16;
-
-    for mut item in trace {
-        if fan_out > 1 {
-            if let Some(a) = &mut item.access {
-                a.asid = Asid(access_idx % fan_out);
-                access_idx = access_idx.wrapping_add(1);
-            }
-        }
-        sys.step(item);
-        if !item.access.is_some_and(|a| a.is_store()) {
-            continue;
-        }
-        rep.stores += 1;
-        if !clock.observe_store(sys.finish_time().raw(), sys.drains_in_flight()) {
-            continue;
-        }
-        crash_point(
-            sys.as_mut(),
-            cfg,
-            &mut rep,
-            salt,
-            clock.crashes_fired() - 1,
-            budget_entries,
-        );
-        if !rep.failures.is_empty() {
-            break;
-        }
-    }
-
-    // Close out: a final full-power crash and clean verification, so the
-    // trailing partial window is also covered.
-    if rep.failures.is_empty() {
-        crash_point(
-            sys.as_mut(),
-            cfg,
-            &mut rep,
-            salt,
-            clock.crashes_fired(),
-            None,
-        );
-    }
-    rep.anomalies = sys.anomalies();
-    rep
+    run_scenario(sys.as_mut(), trace, &sc, label, &mut |_| Ok(()))
 }
 
 /// Runs the full storm sweep: for every scheme, an every-nth-store
@@ -781,11 +339,7 @@ pub fn run_storm_gate(base: &StormConfig, brown_out: f64, json: bool) -> Rendere
             storm.total_lost() + brown.total_lost(),
         ));
     }
-    Rendered {
-        text,
-        json: None,
-        failure,
-    }
+    Rendered::gate(text, failure)
 }
 
 #[cfg(test)]
@@ -867,7 +421,7 @@ mod tests {
         assert!(cell.crashes > 1);
         assert!(cell.flips_injected > 0, "eADR persists a secure image");
         assert_eq!(cell.flips_detected, cell.flips_injected);
-        assert!(cell.label().starts_with("eadr/"));
+        assert!(cell.label.starts_with("eadr/"));
     }
 
     #[test]
@@ -883,7 +437,7 @@ mod tests {
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert_eq!(cell.flips_detected, cell.flips_injected);
-        assert!(cell.label().starts_with("mc4-cobcm/"));
+        assert!(cell.label.starts_with("mc4-cobcm/"));
     }
 
     #[test]
@@ -899,7 +453,7 @@ mod tests {
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert_eq!(cell.flips_detected, cell.flips_injected);
-        assert!(cell.label().starts_with("triad4-cobcm/"));
+        assert!(cell.label.starts_with("triad4-cobcm/"));
     }
 
     #[test]
@@ -915,7 +469,7 @@ mod tests {
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert_eq!(cell.flips_detected, cell.flips_injected);
-        assert!(cell.label().starts_with("fastrec-cobcm/"));
+        assert!(cell.label.starts_with("fastrec-cobcm/"));
     }
 
     #[test]
@@ -930,20 +484,6 @@ mod tests {
         );
         assert!(!cell.passed());
         assert!(cell.failures[0].contains("depth"), "{:?}", cell.failures);
-    }
-
-    #[test]
-    fn front_names_round_trip_through_parse() {
-        for front in [
-            StormFront::SecPb,
-            StormFront::Eadr,
-            StormFront::MultiCore(4),
-            StormFront::Triad(4),
-            StormFront::FastRec,
-        ] {
-            assert_eq!(front.name().parse::<StormFront>(), Ok(front));
-        }
-        assert!("triadx".parse::<StormFront>().is_err());
     }
 
     #[test]

@@ -1,32 +1,35 @@
 //! `secpb watch`: live health streaming over any front.
 //!
-//! Runs a workload on any [`StormFront`] with a telemetry ring attached
-//! and, at a fixed simulated-cycle interval, drains the ring into a
-//! [`HealthMonitor`] and emits a [`HealthSnapshot`] (JSON-lines) — plus,
-//! optionally, an incrementally written Chrome trace fed from the same
-//! ring.  A storm-style mode crashes, recovers, and resyncs the front
-//! every `crash_every` stores so the snapshot stream shows drains,
-//! recovery-cycle estimates, and anomaly counters moving under fire.
+//! A preset of the [scenario runner](crate::scenario): runs a workload on
+//! any [`StormFront`] (fanned out across cores on `mc<N>`) with a
+//! telemetry ring attached and, at a fixed simulated-cycle interval,
+//! drains the ring into a [`HealthMonitor`] and emits a
+//! [`HealthSnapshot`] (JSON-lines) — plus, optionally, an incrementally
+//! written Chrome trace fed from the same ring.  A storm-style mode runs
+//! the runner's crash check every `crash_every` stores so the snapshot
+//! stream shows drains, recovery-cycle estimates, and anomaly counters
+//! moving under fire.
 //!
 //! The watch loop is an *observer* of the same deterministic replay the
 //! benches run: telemetry events never steer the simulation, so watching
 //! a cell does not change what the cell computes.
 
+use std::fmt::Write as _;
 use std::io::Write;
 
-use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::facade::PersistSystem;
 use secpb_core::metrics::{counters, histograms};
 use secpb_core::scheme::Scheme;
 use secpb_energy::drain::secpb_drain_energy;
 use secpb_sim::config::SystemConfig;
+use secpb_sim::fault::CrashTrigger;
 use secpb_sim::telemetry::{
-    self, ChromeTraceStream, HealthGauges, HealthMonitor, HealthSnapshot, TelemetryReader,
-    DEFAULT_RING_CAPACITY,
+    self, ChromeTraceStream, HealthGauges, HealthMonitor, HealthSnapshot, DEFAULT_RING_CAPACITY,
 };
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
-use crate::storm::{build_front, energy_scheme, StormFront};
+use crate::report::Rendered;
+use crate::scenario::{build_front, energy_scheme, run_scenario, Outcome, Scenario, StormFront};
 
 /// Configuration of one watch session.
 #[derive(Debug, Clone)]
@@ -78,148 +81,92 @@ impl WatchConfig {
     }
 }
 
-/// What a watch session produced.
-#[derive(Debug)]
-pub struct WatchOutcome {
-    /// Every snapshot emitted, in order.
-    pub snapshots: Vec<HealthSnapshot>,
-    /// Total telemetry events absorbed from the ring.
-    pub events: u64,
-    /// Events the ring dropped (also carried by every snapshot).
-    pub dropped: u64,
-    /// Crashes injected by storm mode.
-    pub crashes: u64,
-    /// Final model-invariant anomaly count.
-    pub anomalies: u64,
-    /// Final simulated cycle.
-    pub cycles: u64,
-    /// Whether every storm-mode recovery sweep was consistent.
-    pub consistent: bool,
-}
-
-/// Runs a watch session.
+/// Runs a watch session on `sys`, a front built from `cfg.front`: the
+/// scenario runner's power-loss crash check every `crash_every` stores
+/// (none without it), with a snapshot taken at every `interval` crossing
+/// and once more at the end of the trace.
 ///
-/// Snapshots are appended to `snapshot_out` as JSON lines (one
-/// [`HealthSnapshot`] wire object per line) as they are taken; span
-/// events stream into `trace_out` if given (the caller finishes the
-/// Chrome document afterwards, passing [`WatchOutcome::dropped`]).  Both
-/// writers are optional so callers can collect snapshots purely from the
-/// returned [`WatchOutcome`].
+/// Snapshots are appended to `snapshot_out` as JSON lines as they are
+/// taken; span events stream into `trace_out` if given (the caller
+/// finishes the Chrome document, passing the last snapshot's `dropped`).
+/// A writer failure ends the replay as a failure of the [`Outcome`].
 ///
 /// # Errors
 ///
-/// Returns a message if the front cannot be built, a storm-mode crash
-/// drain fails, or a writer fails.
+/// Returns a message if the final snapshot cannot be written.
 pub fn run_watch<W: Write, T: Write>(
     cfg: &WatchConfig,
+    sys: &mut dyn PersistSystem,
     mut snapshot_out: Option<&mut W>,
     mut trace_out: Option<&mut ChromeTraceStream<T>>,
-) -> Result<WatchOutcome, String> {
-    let mut sys = build_front(cfg.front, SystemConfig::default(), cfg.scheme, cfg.seed)?;
+) -> Result<(Outcome, Vec<HealthSnapshot>), String> {
     let (sink, mut reader) = telemetry::channel(cfg.ring_capacity);
-    sys.set_telemetry(Some(sink.clone()));
+    sys.set_telemetry(Some(sink));
     let mut monitor = HealthMonitor::new();
     let front_name = cfg.front.name();
-    let scheme_name = sys.scheme().name();
+    let mut snapshots: Vec<HealthSnapshot> = Vec::new();
+    // Drains the ring into the monitor (routing spans to the Chrome
+    // stream) and emits one snapshot.
+    let mut snapshot = |sys: &dyn PersistSystem, cycle: u64| -> Result<(), String> {
+        let mut io_err: Option<std::io::Error> = None;
+        monitor.absorb_with(&mut reader, |phase, begin, duration| {
+            if let (None, Some(stream)) = (&io_err, trace_out.as_deref_mut()) {
+                io_err = stream.span(phase, begin, duration).err();
+            }
+        });
+        if let Some(e) = io_err {
+            return Err(format!("trace stream write failed: {e}"));
+        }
+        let snap = monitor.snapshot(
+            cycle,
+            &front_name,
+            sys.scheme().name(),
+            sys.stats(),
+            &health_gauges(sys),
+            histograms::DRAIN_LATENCY,
+            reader.dropped(),
+        );
+        if let Some(out) = snapshot_out.as_deref_mut() {
+            writeln!(out, "{}", snap.to_json())
+                .map_err(|e| format!("snapshot write failed: {e}"))?;
+        }
+        snapshots.push(snap);
+        Ok(())
+    };
 
+    let sc = Scenario {
+        trigger: cfg
+            .crash_every
+            .map_or(CrashTrigger::Never, CrashTrigger::EveryNthStore),
+        close_out: false,
+        ..Scenario::crash_at_end(cfg.front.fan_out())
+    };
     let mut generator = TraceGenerator::new(cfg.profile.clone(), cfg.seed);
+    let trace = generator.stream(cfg.instructions);
     let interval = cfg.interval.max(1);
     let mut next_at = interval;
-    let mut snapshots: Vec<HealthSnapshot> = Vec::new();
-    let mut stores = 0u64;
-    let mut crashes = 0u64;
-    let mut consistent = true;
-
-    for item in generator.stream(cfg.instructions) {
-        let is_store = item.access.is_some_and(|a| a.is_store());
-        sys.step(item);
-        if is_store {
-            stores += 1;
-            if let Some(every) = cfg.crash_every {
-                if every > 0 && stores.is_multiple_of(every) {
-                    let report = sys
-                        .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
-                        .map_err(|e| format!("storm-mode crash drain failed: {e}"))?;
-                    let rec = sys.recover_with(&report.lost_blocks);
-                    consistent &= rec.is_consistent();
-                    sys.resync_lost_golden(&report.lost_blocks);
-                    crashes += 1;
-                }
-            }
-        }
-        // Drain the ring and snapshot at every interval crossing (a
-        // long stall can cross several at once).
+    let outcome = run_scenario(sys, trace, &sc, front_name.clone(), &mut |sys| {
+        // Snapshot at every interval crossing (a long stall can cross
+        // several at once).
         while sys.finish_time().raw() >= next_at {
-            emit_snapshot(
-                &mut monitor,
-                &mut reader,
-                sys.as_ref(),
-                &front_name,
-                scheme_name,
-                next_at,
-                &mut snapshot_out,
-                &mut trace_out,
-                &mut snapshots,
-            )?;
+            snapshot(sys, next_at)?;
             next_at += interval;
         }
-    }
+        Ok(())
+    });
     // A final snapshot always covers the tail, so even a session shorter
     // than one interval streams at least one snapshot.
-    let final_cycle = sys.finish_time().raw();
-    emit_snapshot(
-        &mut monitor,
-        &mut reader,
-        sys.as_ref(),
-        &front_name,
-        scheme_name,
-        final_cycle,
-        &mut snapshot_out,
-        &mut trace_out,
-        &mut snapshots,
-    )?;
-
-    Ok(WatchOutcome {
-        events: monitor.events(),
-        dropped: sink.dropped(),
-        crashes,
-        anomalies: sys.anomalies(),
-        cycles: final_cycle,
-        consistent,
-        snapshots,
-    })
+    snapshot(sys, sys.finish_time().raw())?;
+    Ok((outcome, snapshots))
 }
 
-/// Drains the ring into the monitor (routing spans to the Chrome stream)
-/// and emits one snapshot.
-#[allow(clippy::too_many_arguments)]
-fn emit_snapshot<W: Write, T: Write>(
-    monitor: &mut HealthMonitor,
-    reader: &mut TelemetryReader,
-    sys: &dyn PersistSystem,
-    front: &str,
-    scheme: &str,
-    cycle: u64,
-    snapshot_out: &mut Option<&mut W>,
-    trace_out: &mut Option<&mut ChromeTraceStream<T>>,
-    snapshots: &mut Vec<HealthSnapshot>,
-) -> Result<(), String> {
-    let mut io_err: Option<std::io::Error> = None;
-    monitor.absorb_with(reader, |phase, begin, duration| {
-        if io_err.is_none() {
-            if let Some(stream) = trace_out.as_deref_mut() {
-                if let Err(e) = stream.span(phase, begin, duration) {
-                    io_err = Some(e);
-                }
-            }
-        }
-    });
-    if let Some(e) = io_err {
-        return Err(format!("trace stream write failed: {e}"));
-    }
+/// The health gauges of a front right now, for a [`HealthSnapshot`]:
+/// occupancy, anomalies, NWPE, the battery energy to drain the current
+/// occupancy, the recovery latency, and the memo-cache counters.
+pub fn health_gauges(sys: &dyn PersistSystem) -> HealthGauges {
     let occupancy = sys.occupancy();
     let memo = sys.memo_stats();
-    let gauges = HealthGauges {
+    HealthGauges {
         occupancy,
         anomalies: sys.anomalies(),
         nwpe: sys.stats().ratio(counters::PERSISTS, counters::ALLOCATIONS),
@@ -229,21 +176,76 @@ fn emit_snapshot<W: Write, T: Write>(
         memo_misses: memo.misses,
         memo_evictions: memo.evictions,
         ..HealthGauges::default()
-    };
-    let snap = monitor.snapshot(
-        cycle,
-        front,
-        scheme,
-        sys.stats(),
-        &gauges,
-        histograms::DRAIN_LATENCY,
-        reader.dropped(),
-    );
-    if let Some(out) = snapshot_out.as_deref_mut() {
-        writeln!(out, "{}", snap.to_json()).map_err(|e| format!("snapshot write failed: {e}"))?;
     }
-    snapshots.push(snap);
-    Ok(())
+}
+
+/// The gate `secpb watch` runs: a watch session whose snapshots go to
+/// `out_path` (or inline into the report) and whose spans stream to a
+/// Chrome trace at `trace_path`, then a summary.  Fails if no snapshot
+/// streamed or the scenario failed (an inconsistent recovery or a
+/// model-invariant anomaly).
+///
+/// # Errors
+///
+/// Returns a message if the front cannot be built or a file cannot be
+/// written.
+pub fn run_watch_gate(
+    cfg: &WatchConfig,
+    bench: &str,
+    out_path: Option<&str>,
+    trace_path: Option<&str>,
+) -> Result<Rendered, String> {
+    let mut jsonl: Vec<u8> = Vec::new();
+    let mut trace_stream = trace_path
+        .map(|path| {
+            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+            ChromeTraceStream::new(std::io::BufWriter::new(file), "secpb watch", 0)
+                .map_err(|e| format!("{path}: {e}"))
+        })
+        .transpose()?;
+    let mut sys = build_front(cfg.front, SystemConfig::default(), cfg.scheme, cfg.seed)?;
+    let (outcome, snapshots) =
+        run_watch(cfg, sys.as_mut(), Some(&mut jsonl), trace_stream.as_mut())?;
+    let last = snapshots.last();
+    let dropped = last.map_or(0, |s| s.dropped);
+    if let Some(stream) = trace_stream.as_mut() {
+        stream.finish(dropped).map_err(|e| e.to_string())?;
+    }
+
+    let mut text = String::new();
+    let _ = writeln!(
+        text,
+        "watch bench={bench} front={} scheme={} instructions={} interval={}",
+        cfg.front.name(),
+        cfg.scheme,
+        cfg.instructions,
+        cfg.interval
+    );
+    match out_path {
+        Some(path) => {
+            std::fs::write(path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
+            let _ = writeln!(text, "snapshots    {} -> {path}", snapshots.len());
+        }
+        None => {
+            text.push_str(&String::from_utf8_lossy(&jsonl));
+            let _ = writeln!(text, "snapshots    {}", snapshots.len());
+        }
+    }
+    if let Some(path) = trace_path {
+        let _ = writeln!(text, "chrome trace {path}");
+    }
+    let _ = writeln!(text, "events       {}", last.map_or(0, |s| s.events));
+    let _ = writeln!(text, "dropped      {dropped}");
+    let _ = writeln!(text, "crashes      {}", outcome.crashes);
+    let _ = writeln!(text, "cycles       {}", last.map_or(0, |s| s.cycle));
+    let _ = writeln!(text, "anomalies    {}", outcome.anomalies);
+    let _ = writeln!(text, "consistent   {}", outcome.passed());
+    let failure = if snapshots.is_empty() {
+        Some("watch: streamed no snapshots".to_owned())
+    } else {
+        outcome.failure().map(|why| format!("watch: {why}"))
+    };
+    Ok(Rendered::gate(text, failure))
 }
 
 #[cfg(test)]
@@ -259,44 +261,65 @@ mod tests {
         .quick()
     }
 
+    fn front(cfg: &WatchConfig) -> Box<dyn PersistSystem + Send> {
+        build_front(cfg.front, SystemConfig::default(), cfg.scheme, cfg.seed).unwrap()
+    }
+
     #[test]
     fn quick_watch_streams_snapshots_with_zero_anomalies() {
         let mut jsonl: Vec<u8> = Vec::new();
-        let outcome =
-            run_watch::<_, Vec<u8>>(&quick_cfg(StormFront::SecPb), Some(&mut jsonl), None).unwrap();
-        assert!(!outcome.snapshots.is_empty(), "must stream >= 1 snapshot");
+        let cfg = quick_cfg(StormFront::SecPb);
+        let (outcome, snapshots) =
+            run_watch::<_, Vec<u8>>(&cfg, front(&cfg).as_mut(), Some(&mut jsonl), None).unwrap();
+        assert!(!snapshots.is_empty(), "must stream >= 1 snapshot");
         assert_eq!(outcome.anomalies, 0);
-        assert!(outcome.consistent);
+        assert!(outcome.passed(), "{:?}", outcome.failure());
         assert!(outcome.crashes > 0, "quick mode is storm-style");
-        assert!(outcome.events > 0, "the ring must carry events");
         let text = String::from_utf8(jsonl).unwrap();
         assert_eq!(
             text.lines().count(),
-            outcome.snapshots.len(),
+            snapshots.len(),
             "one JSON line per snapshot"
         );
         // Snapshots are sequenced, cycle-ordered, and drop-accounted.
-        let last = outcome.snapshots.last().unwrap();
-        assert_eq!(last.seq, outcome.snapshots.len() as u64);
-        assert_eq!(last.dropped, outcome.dropped);
-        assert_eq!(last.lossy, outcome.dropped > 0);
+        let last = snapshots.last().unwrap();
+        assert!(last.events > 0, "the ring must carry events");
+        assert_eq!(last.seq, snapshots.len() as u64);
+        assert_eq!(last.lossy, last.dropped > 0);
         assert!(last.crashes >= outcome.crashes, "markers reach the stream");
         assert_eq!(last.front, "secpb");
     }
 
     #[test]
     fn watch_drives_every_front() {
-        for front in [
+        for f in [
             StormFront::SecPb,
             StormFront::Eadr,
             StormFront::MultiCore(2),
         ] {
-            let outcome = run_watch::<Vec<u8>, Vec<u8>>(&quick_cfg(front), None, None)
-                .unwrap_or_else(|e| panic!("{}: {e}", front.name()));
-            assert!(!outcome.snapshots.is_empty(), "{}", front.name());
-            assert_eq!(outcome.anomalies, 0, "{}", front.name());
-            assert!(outcome.consistent, "{}", front.name());
+            let cfg = quick_cfg(f);
+            let (outcome, snapshots) =
+                run_watch::<Vec<u8>, Vec<u8>>(&cfg, front(&cfg).as_mut(), None, None)
+                    .unwrap_or_else(|e| panic!("{}: {e}", f.name()));
+            assert!(!snapshots.is_empty(), "{}", f.name());
+            assert_eq!(outcome.anomalies, 0, "{}", f.name());
+            assert!(outcome.passed(), "{}: {:?}", f.name(), outcome.failure());
         }
+    }
+
+    #[test]
+    fn multicore_watch_fans_accesses_out_across_cores() {
+        let cfg = quick_cfg(StormFront::MultiCore(2));
+        let mut sys = front(&cfg);
+        let (outcome, _) = run_watch::<Vec<u8>, Vec<u8>>(&cfg, sys.as_mut(), None, None).unwrap();
+        assert!(outcome.passed(), "{:?}", outcome.failure());
+        // Core 0 alone never migrates an entry or flushes one for a
+        // remote reader: these fire only when the trace drives both cores.
+        let stats = sys.stats();
+        assert!(
+            stats.get("mc.migrations") + stats.get("mc.remote_read_flushes") > 0,
+            "a 2-core watch must exercise cross-core coherence"
+        );
     }
 
     #[test]
@@ -308,15 +331,15 @@ mod tests {
             c.crash_every = None;
             c
         };
-        let watched = run_watch::<Vec<u8>, Vec<u8>>(&cfg, None, None).unwrap();
+        let (_, snapshots) =
+            run_watch::<Vec<u8>, Vec<u8>>(&cfg, front(&cfg).as_mut(), None, None).unwrap();
         let mut generator = TraceGenerator::new(cfg.profile.clone(), cfg.seed);
-        let mut bare =
-            build_front(cfg.front, SystemConfig::default(), cfg.scheme, cfg.seed).unwrap();
+        let mut bare = front(&cfg);
         for item in generator.stream(cfg.instructions) {
             bare.step(item);
         }
-        assert_eq!(watched.cycles, bare.finish_time().raw());
-        let last = watched.snapshots.last().unwrap();
+        let last = snapshots.last().unwrap();
+        assert_eq!(last.cycle, bare.finish_time().raw());
         assert_eq!(last.occupancy, bare.occupancy());
         assert_eq!(last.recovery_cycles, bare.recovery_cost().cycles);
     }
@@ -325,10 +348,10 @@ mod tests {
     fn chrome_stream_receives_spans_from_the_ring() {
         let mut trace_buf: Vec<u8> = Vec::new();
         let mut stream = ChromeTraceStream::new(&mut trace_buf, "watch", 0).unwrap();
-        let outcome =
-            run_watch::<Vec<u8>, _>(&quick_cfg(StormFront::SecPb), None, Some(&mut stream))
-                .unwrap();
-        stream.finish(outcome.dropped).unwrap();
+        let cfg = quick_cfg(StormFront::SecPb);
+        let (_, snapshots) =
+            run_watch::<Vec<u8>, _>(&cfg, front(&cfg).as_mut(), None, Some(&mut stream)).unwrap();
+        stream.finish(snapshots.last().unwrap().dropped).unwrap();
         let text = String::from_utf8(trace_buf).unwrap();
         let json = secpb_sim::json::Json::parse(&text).expect("streamed trace must parse");
         let events = json.get("traceEvents").unwrap().items();

@@ -23,13 +23,14 @@ use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
-use secpb_sim::telemetry::TelemetrySink;
+use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
 use secpb_sim::trace::{Access, AccessKind, TraceItem};
 
-use crate::crash::{DrainWork, RecoveryReport};
+use crate::crash::{CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport};
 use crate::domain::{DomainKeys, PersistDomain};
+use crate::facade::PersistSystem;
 use crate::metrics::{counters, CycleBreakdown, RunResult};
-use crate::policy::PersistencePolicy;
+use crate::policy::{PersistencePolicy, PolicyState};
 use crate::scheme::Scheme;
 use crate::tree::TreeKind;
 
@@ -86,59 +87,6 @@ impl EadrSystem {
         self
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Attaches (or with `None` detaches) a live telemetry sink; stat
-    /// deltas and crash/recovery markers are mirrored into the ring.
-    /// Events observe, never steer.
-    pub fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        self.stats.set_sink(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.stats.sink()
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// Combined memo-cache statistics (pad cache + counter-digest memo).
-    pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        self.domain.memo_stats()
-    }
-
-    /// The core clock.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Number of dirty lines currently buffered in the cache hierarchy
-    /// (the persistence domain's exposure on a crash).
-    pub fn dirty_lines(&self) -> usize {
-        self.hierarchy.dirty_blocks().len()
-    }
-
-    /// The durable state (for tamper injection in tests).
-    pub fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        &mut self.domain.nvm
-    }
-
-    /// The durable state, read-only.
-    pub fn nvm_store(&self) -> &NvmStore {
-        &self.domain.nvm
-    }
-
-    /// The architecturally expected plaintext of a block.
-    pub fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        self.domain.expected_plaintext(block)
-    }
-
     fn advance(&mut self, cycles: f64) {
         self.frac += cycles;
         // Truncating cast == `floor()` for the non-negative accumulator,
@@ -147,47 +95,6 @@ impl EadrSystem {
         if whole >= 1 {
             self.now += whole;
             self.frac -= whole as f64;
-        }
-    }
-
-    /// Executes a single trace item.
-    pub fn step(&mut self, item: TraceItem) {
-        if item.non_mem_instrs > 0 {
-            self.stats
-                .bump_by(counters::INSTRUCTIONS, u64::from(item.non_mem_instrs));
-            self.advance(f64::from(item.non_mem_instrs) / f64::from(self.cfg.core.retire_width));
-        }
-        if let Some(access) = item.access {
-            self.stats.bump(counters::INSTRUCTIONS);
-            self.advance(1.0 / f64::from(self.cfg.core.retire_width));
-            match access.kind {
-                AccessKind::Load => self.do_load(access),
-                AccessKind::Store => self.do_store(access),
-            }
-        }
-    }
-
-    /// Replays a trace.  Stores persist at L1 speed; security work only
-    /// happens when dirty lines leave the LLC.
-    pub fn run_trace<I: IntoIterator<Item = TraceItem>>(&mut self, items: I) -> RunResult {
-        for item in items {
-            self.step(item);
-        }
-        self.run_result()
-    }
-
-    /// The run result so far (cycles, breakdown, statistics).
-    pub fn run_result(&self) -> RunResult {
-        RunResult {
-            scheme: Scheme::Bbb,
-            cycles: self.now.raw(),
-            // The eADR model has no persist path: everything the core does
-            // is plain retirement/exposure work.
-            breakdown: CycleBreakdown {
-                retire: self.now.raw(),
-                ..CycleBreakdown::default()
-            },
-            stats: self.stats.clone(),
         }
     }
 
@@ -228,24 +135,100 @@ impl EadrSystem {
         self.stats.bump(counters::OTPS);
         self.stats.bump(counters::BMT_ROOT_UPDATES);
     }
+}
 
-    /// Power loss: the battery drains **every dirty cache line** and
-    /// completes its memory tuple.  Returns the drain work for the energy
-    /// model — this is the measured counterpart of Table V's `s_eADR`
-    /// worst case.
-    pub fn crash(&mut self) -> DrainWork {
-        self.crash_with_budget(None).0
+impl PersistSystem for EadrSystem {
+    /// The eADR front has no scheme spectrum (its metadata is always
+    /// generated at writeback/crash time) and reports the `bbb`
+    /// placeholder, matching its [`RunResult`].
+    fn scheme(&self) -> Scheme {
+        Scheme::Bbb
     }
 
-    /// [`crash`](Self::crash) under a battery budget: at most
-    /// `max_drain_entries` dirty lines complete their tuples; the rest
-    /// are *lost* with the cache contents and returned for accounting.
-    /// The s_eADR worst case makes this the most brown-out-exposed
-    /// design: megabytes of dirty lines compete for the same joules.
-    pub fn crash_with_budget(
+    fn secure(&self) -> bool {
+        // eADR generates full tuples at writeback/crash; the persisted
+        // image is always encrypted and tree-protected.
+        true
+    }
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
+        self.stats.set_sink(sink);
+    }
+
+    fn telemetry(&self) -> Option<&TelemetrySink> {
+        self.stats.sink()
+    }
+
+    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
+        self.domain.memo_stats()
+    }
+
+    fn step(&mut self, item: TraceItem) {
+        if item.non_mem_instrs > 0 {
+            self.stats
+                .bump_by(counters::INSTRUCTIONS, u64::from(item.non_mem_instrs));
+            self.advance(f64::from(item.non_mem_instrs) / f64::from(self.cfg.core.retire_width));
+        }
+        if let Some(access) = item.access {
+            self.stats.bump(counters::INSTRUCTIONS);
+            self.advance(1.0 / f64::from(self.cfg.core.retire_width));
+            match access.kind {
+                AccessKind::Load => self.do_load(access),
+                AccessKind::Store => self.do_store(access),
+            }
+        }
+    }
+
+    /// Replays a trace.  Stores persist at L1 speed; security work only
+    /// happens when dirty lines leave the LLC.
+    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
+        for &item in items {
+            self.step(item);
+        }
+        RunResult {
+            scheme: Scheme::Bbb,
+            cycles: self.now.raw(),
+            // The eADR model has no persist path: everything the core does
+            // is plain retirement/exposure work.
+            breakdown: CycleBreakdown {
+                retire: self.now.raw(),
+                ..CycleBreakdown::default()
+            },
+            stats: self.stats.clone(),
+        }
+    }
+
+    fn finish_time(&self) -> Cycle {
+        self.now
+    }
+
+    /// The dirty lines buffered in the cache hierarchy.
+    fn occupancy(&self) -> u64 {
+        self.hierarchy.dirty_blocks().len() as u64
+    }
+
+    /// Power loss: the battery drains **every dirty cache line** and
+    /// completes its memory tuple — the measured counterpart of Table V's
+    /// `s_eADR` worst case.  Under a budget at most `max_drain_entries`
+    /// lines complete; the rest are *lost* with the cache contents (the
+    /// most brown-out-exposed design: megabytes of dirty lines compete
+    /// for the same joules).  There are no ASID tags, so every kind and
+    /// policy drains the whole hierarchy.
+    fn crash_with_budget(
         &mut self,
+        kind: CrashKind,
+        _policy: DrainPolicy,
         max_drain_entries: Option<u64>,
-    ) -> (DrainWork, Vec<BlockAddr>) {
+    ) -> Result<CrashReport, RecoveryError> {
+        let at = self.now;
         let mut dirty: Vec<BlockAddr> = self
             .hierarchy
             .dirty_blocks()
@@ -255,7 +238,7 @@ impl EadrSystem {
         // Deterministic drain (and therefore loss) order.
         dirty.sort_unstable();
         let budget = usize::try_from(max_drain_entries.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
-        let lost: Vec<BlockAddr> = if dirty.len() > budget {
+        let lost_blocks: Vec<BlockAddr> = if dirty.len() > budget {
             dirty.split_off(budget)
         } else {
             Vec::new()
@@ -270,40 +253,75 @@ impl EadrSystem {
         self.hierarchy.clear();
         let n = dirty.len() as u64;
         self.stats.bump_by("eadr.crash_lines", n);
-        self.stats.bump_by("eadr.lost_lines", lost.len() as u64);
-        let work = DrainWork {
-            entries: n,
-            bytes_pb_to_mc: n * 64,
-            bytes_mc_to_pm: 0,
-            counter_fetches: n, // worst-case assumption 2: every access misses
-            bmt_node_hashes: n * levels,
-            bmt_node_fetches: n * levels,
-            otps: n,
-            macs: n,
-            ciphertexts: n,
-        };
-        (work, lost)
+        self.stats
+            .bump_by("eadr.lost_lines", lost_blocks.len() as u64);
+        if let Some(sink) = self.telemetry() {
+            sink.emit(&TelemetryEvent::CrashMarker {
+                power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
+                cycle: at.raw(),
+            });
+            sink.emit(&TelemetryEvent::DrainMarker {
+                entries: n,
+                cycle: at.raw(),
+            });
+        }
+        // The eADR drain is not cycle-modelled (the whole hierarchy
+        // flushes on battery); the gaps close at the crash instant.
+        Ok(CrashReport {
+            kind,
+            at,
+            drain_complete_at: at,
+            secsync_complete_at: at,
+            work: DrainWork {
+                entries: n,
+                bytes_pb_to_mc: n * 64,
+                bytes_mc_to_pm: 0,
+                counter_fetches: n, // worst-case assumption 2: every access misses
+                bmt_node_hashes: n * levels,
+                bmt_node_fetches: n * levels,
+                otps: n,
+                macs: n,
+                ciphertexts: n,
+            },
+            lost_blocks,
+        })
     }
 
-    /// Post-crash recovery, identical in spirit to the SecPB systems'.
-    pub fn recover(&self) -> RecoveryReport {
-        self.recover_with(&[])
-    }
-
-    /// [`recover`](Self::recover) with lost-line accounting: blocks in
-    /// `lost` (from [`crash_with_budget`](Self::crash_with_budget)) read
-    /// back stale by construction and get
+    /// Post-crash recovery, identical in spirit to the SecPB systems':
+    /// lost lines read back stale by construction and get
     /// [`crate::crash::BlockVerdict::LostStale`].
-    pub fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
+    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
         // eADR never leaves entries buffered across a crash: the whole
         // hierarchy drains, so nothing is ever "in flight" at recovery.
-        self.domain.recover_report(lost, true, &|_| false)
+        let report = self.domain.recover_report(lost, true, &|_| false);
+        if let Some(sink) = self.telemetry() {
+            sink.emit(&TelemetryEvent::RecoveryMarker {
+                consistent: report.is_consistent(),
+                blocks: report.blocks_checked,
+                cycle: self.now.raw(),
+            });
+        }
+        report
     }
 
-    /// Re-reads the durable image of brown-out-lost lines back into the
-    /// architectural expectation so a storm can continue past the crash.
-    pub fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
+    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
         self.domain.resync_lost(lost, true);
+    }
+
+    fn policy_state(&self) -> &PolicyState {
+        self.domain.policy_state()
+    }
+
+    fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
+        self.domain.expected_plaintext(block)
+    }
+
+    fn nvm_store(&self) -> &NvmStore {
+        &self.domain.nvm
+    }
+
+    fn nvm_store_mut(&mut self) -> &mut NvmStore {
+        &mut self.domain.nvm
     }
 }
 
@@ -319,10 +337,15 @@ mod tests {
             .collect()
     }
 
+    fn crash(sys: &mut dyn PersistSystem) -> CrashReport {
+        sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap()
+    }
+
     #[test]
     fn stores_are_near_free_at_runtime() {
         let mut sys = EadrSystem::new(SystemConfig::default(), 1);
-        let r = sys.run_trace(store_trace(2_000));
+        let r = sys.run_trace(&store_trace(2_000));
         // Durable at L1: no persist-buffer serialization at all.
         assert_eq!(r.stats.get(counters::PERSISTS), 2_000);
         assert_eq!(
@@ -336,8 +359,8 @@ mod tests {
     #[test]
     fn crash_recovery_is_consistent() {
         let mut sys = EadrSystem::new(SystemConfig::default(), 2);
-        sys.run_trace(store_trace(500));
-        let work = sys.crash();
+        sys.run_trace(&store_trace(500));
+        let work = crash(&mut sys).work;
         assert_eq!(work.entries, 500);
         let rec = sys.recover();
         assert!(rec.is_consistent());
@@ -351,17 +374,12 @@ mod tests {
         // than a 32-entry SecPB's.
         let trace = store_trace(3_000);
         let mut eadr = EadrSystem::new(SystemConfig::default(), 3);
-        eadr.run_trace(trace.clone());
-        let ew = eadr.crash();
+        eadr.run_trace(&trace);
+        let ew = crash(&mut eadr).work;
 
         let mut secpb = crate::system::SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 3);
         secpb.run_trace(trace);
-        let sr = secpb
-            .crash(
-                crate::crash::CrashKind::PowerLoss,
-                crate::crash::DrainPolicy::DrainAll,
-            )
-            .unwrap();
+        let sr = crash(&mut secpb);
 
         let convert = |w: DrainWork| MeasuredWork {
             entries: w.entries,
@@ -385,9 +403,12 @@ mod tests {
     #[test]
     fn eadr_brown_out_loses_youngest_lines_with_accounting() {
         let mut sys = EadrSystem::new(SystemConfig::default(), 9);
-        sys.run_trace(store_trace(200));
-        let (work, lost) = sys.crash_with_budget(Some(50));
-        assert_eq!(work.entries, 50);
+        sys.run_trace(&store_trace(200));
+        let report = sys
+            .crash_with_budget(CrashKind::PowerLoss, DrainPolicy::DrainAll, Some(50))
+            .unwrap();
+        let lost = report.lost_blocks;
+        assert_eq!(report.work.entries, 50);
         assert_eq!(lost.len(), 150);
         let rec = sys.recover_with(&lost);
         assert!(rec.integrity_ok(), "partial eADR drain keeps tuples sound");
@@ -399,8 +420,8 @@ mod tests {
     #[test]
     fn tamper_detected_after_eadr_crash() {
         let mut sys = EadrSystem::new(SystemConfig::default(), 4);
-        sys.run_trace(store_trace(50));
-        sys.crash();
+        sys.run_trace(&store_trace(50));
+        crash(&mut sys);
         let victim = Address(0x10_0000).block();
         sys.nvm_store_mut().tamper_data(victim, 3, 3);
         assert!(!sys.recover().integrity_ok());
@@ -414,7 +435,7 @@ mod tests {
         let trace: Vec<TraceItem> = (0..blocks as u64)
             .map(|i| TraceItem::then(1, Access::store(Address(0x10_0000 + i * 64), i)))
             .collect();
-        let r = sys.run_trace(trace);
+        let r = sys.run_trace(&trace);
         assert!(r.stats.get("eadr.writebacks") > 0);
         assert!(sys.recover().blocks_checked > 0 || sys.nvm_store().data_block_count() > 0);
     }

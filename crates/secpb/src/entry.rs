@@ -21,8 +21,6 @@ use secpb_sim::addr::{Asid, BlockAddr};
 use secpb_sim::cycle::Cycle;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
 
-use crate::scheme::EarlyWork;
-
 /// The valid bits of a SecPB entry's tuple fields.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ValidBits {
@@ -36,19 +34,6 @@ pub struct ValidBits {
     pub bmt: bool,
     /// `M` field holds the MAC of the current ciphertext.
     pub mac: bool,
-}
-
-impl ValidBits {
-    /// Whether all fields demanded by `required` are valid — the
-    /// "security persist complete" condition that unblocks draining for
-    /// eager schemes.
-    pub fn satisfies(&self, required: EarlyWork) -> bool {
-        (!required.counter || self.counter)
-            && (!required.otp || self.otp)
-            && (!required.bmt || self.bmt)
-            && (!required.ciphertext || self.ciphertext)
-            && (!required.mac || self.mac)
-    }
 }
 
 /// One SecPB entry.
@@ -191,7 +176,6 @@ impl Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
 
     fn entry() -> Entry {
         Entry::new(BlockAddr(5), Asid(0), [0u8; 64], 1)
@@ -236,21 +220,6 @@ mod tests {
         assert!(e.valid.bmt, "BMT ack is data-value independent");
         assert!(!e.valid.ciphertext, "ciphertext must track the new value");
         assert!(!e.valid.mac, "MAC must track the new value");
-    }
-
-    #[test]
-    fn satisfies_matches_scheme_demands() {
-        let mut v = ValidBits::default();
-        assert!(v.satisfies(Scheme::Cobcm.early_work()));
-        v.counter = true;
-        assert!(v.satisfies(Scheme::Obcm.early_work()));
-        assert!(!v.satisfies(Scheme::Bcm.early_work()));
-        v.otp = true;
-        assert!(v.satisfies(Scheme::Bcm.early_work()));
-        v.bmt = true;
-        v.ciphertext = true;
-        v.mac = true;
-        assert!(v.satisfies(Scheme::NoGap.early_work()));
     }
 
     #[test]

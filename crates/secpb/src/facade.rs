@@ -1,14 +1,14 @@
 //! The unified persist-system facade.
 //!
 //! The three fronts — [`SecureSystem`] (single-core SecPB with the full
-//! timing pipeline), [`EadrSystem`] (whole-hierarchy persistence), and
-//! [`MultiCoreSystem`] (per-core SecPBs with directory coherence) —
-//! share one security/persistence kernel
-//! ([`PersistDomain`](crate::domain::PersistDomain)) but historically
-//! exposed three slightly different driving surfaces.  [`PersistSystem`]
-//! is the common surface, written once so benches, the fault-injection
-//! storm, and the CLI can drive *any* front through `&mut dyn
-//! PersistSystem`:
+//! timing pipeline), [`EadrSystem`](crate::eadr::EadrSystem)
+//! (whole-hierarchy persistence), and
+//! [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) (per-core
+//! SecPBs with directory coherence) — share one security/persistence
+//! kernel ([`PersistDomain`](crate::domain::PersistDomain)).
+//! [`PersistSystem`] is their common surface, written once so the crash
+//! scenario runner, the benches, and the CLI can drive *any* front
+//! through `&mut dyn PersistSystem`:
 //!
 //! * replay — [`step`](PersistSystem::step) /
 //!   [`run_trace`](PersistSystem::run_trace) /
@@ -22,28 +22,28 @@
 //!   [`recover_with`](PersistSystem::recover_with) /
 //!   [`resync_lost_golden`](PersistSystem::resync_lost_golden),
 //! * observation — [`stats`](PersistSystem::stats) /
+//!   [`policy_state`](PersistSystem::policy_state) /
 //!   [`expected_plaintext`](PersistSystem::expected_plaintext) /
 //!   [`nvm_store`](PersistSystem::nvm_store).
 //!
-//! The fronts' inherent methods keep their richer historical signatures
-//! (e.g. the eADR crash returns its [`DrainWork`] directly, the
-//! multi-core crash returns a drained-entry count); the trait impls
-//! translate those into the common [`CrashReport`] shape without losing
-//! the accounting a storm reconciles (drained + lost == occupancy).
+//! The eADR and multi-core fronts implement the trait in their own
+//! modules and have no inherent crash/recovery surface: the trait is
+//! their one crash → recover path, so every caller gets the same
+//! [`CrashReport`] accounting (drained + lost == occupancy) and the same
+//! telemetry markers.  [`SecureSystem`] keeps its inherent API, which
+//! its impl here forwards to.
 
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
-use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
+use secpb_sim::telemetry::TelemetrySink;
 use secpb_sim::trace::TraceItem;
 
-use crate::crash::{CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport};
-use crate::eadr::EadrSystem;
+use crate::crash::{CrashKind, CrashReport, DrainPolicy, RecoveryError, RecoveryReport};
 use crate::metrics::{counters, RunResult};
-use crate::multicore::MultiCoreSystem;
-use crate::policy::{CounterLayout, PersistencePolicy, RecoveryCost};
+use crate::policy::{CounterLayout, PersistencePolicy, PolicyState, RecoveryCost};
 use crate::scheme::Scheme;
 use crate::system::SecureSystem;
 
@@ -92,20 +92,6 @@ pub trait PersistSystem {
     /// observational — memo contents never change any output.
     fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
         secpb_crypto::memo::MemoStats::default()
-    }
-
-    /// Folds all deferred security metadata — dirty integrity-tree paths
-    /// and pending counter digests — and persists the root, returning
-    /// the analytic hash count charged to the sync.  This is the
-    /// epoch-boundary observation point the service plane drains shards
-    /// at: under the lazy engine a whole epoch's tree updates fold in
-    /// sibling batches (`compute_batch`) and its counter digests
-    /// coalesce (`digest_batch`), so the per-store metadata cost
-    /// amortizes across the batch.  Fronts whose metadata is generated
-    /// at writeback/crash time (eADR, the multi-core event model) have
-    /// nothing deferred and return 0.
-    fn sync_metadata(&mut self) -> u64 {
-        0
     }
 
     /// Executes a single trace item.
@@ -169,6 +155,10 @@ pub trait PersistSystem {
         PersistencePolicy::for_scheme(self.scheme())
     }
 
+    /// The policy's analytic write-amplification counters (durable
+    /// tree-node and shadow-root writes per leaf persist).
+    fn policy_state(&self) -> &PolicyState;
+
     /// Exact post-crash recovery accounting under the front's
     /// persistence policy: persisted counter pages and tree-frontier
     /// nodes fetched, node hashes folded to revalidate the root, data
@@ -227,10 +217,6 @@ impl PersistSystem for SecureSystem {
         SecureSystem::telemetry(self)
     }
 
-    fn sync_metadata(&mut self) -> u64 {
-        SecureSystem::sync_metadata(self)
-    }
-
     fn step(&mut self, item: TraceItem) {
         SecureSystem::step(self, item);
     }
@@ -276,6 +262,10 @@ impl PersistSystem for SecureSystem {
         SecureSystem::policy(self)
     }
 
+    fn policy_state(&self) -> &PolicyState {
+        SecureSystem::policy_state(self)
+    }
+
     fn recovery_cost(&self) -> RecoveryCost {
         let cfg = SecureSystem::config(self);
         let nvm = SecureSystem::nvm_store(self);
@@ -310,230 +300,11 @@ impl PersistSystem for SecureSystem {
     }
 }
 
-impl PersistSystem for EadrSystem {
-    fn scheme(&self) -> Scheme {
-        Scheme::Bbb
-    }
-
-    fn secure(&self) -> bool {
-        // eADR generates full tuples at writeback/crash; the persisted
-        // image is always encrypted and tree-protected.
-        true
-    }
-
-    fn config(&self) -> &SystemConfig {
-        EadrSystem::config(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        EadrSystem::stats(self)
-    }
-
-    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        EadrSystem::set_telemetry(self, sink);
-    }
-
-    fn telemetry(&self) -> Option<&TelemetrySink> {
-        EadrSystem::telemetry(self)
-    }
-
-    fn step(&mut self, item: TraceItem) {
-        EadrSystem::step(self, item);
-    }
-
-    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
-        EadrSystem::run_trace(self, items.iter().copied())
-    }
-
-    fn finish_time(&self) -> Cycle {
-        self.now()
-    }
-
-    fn occupancy(&self) -> u64 {
-        self.dirty_lines() as u64
-    }
-
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        EadrSystem::memo_stats(self)
-    }
-
-    fn crash_with_budget(
-        &mut self,
-        kind: CrashKind,
-        _policy: DrainPolicy,
-        max_drain_entries: Option<u64>,
-    ) -> Result<CrashReport, RecoveryError> {
-        let at = self.now();
-        let (work, lost_blocks) = EadrSystem::crash_with_budget(self, max_drain_entries);
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::CrashMarker {
-                power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
-                cycle: at.raw(),
-            });
-            sink.emit(&TelemetryEvent::DrainMarker {
-                entries: work.entries,
-                cycle: at.raw(),
-            });
-        }
-        // The eADR drain is not cycle-modelled (the whole hierarchy
-        // flushes on battery); the gaps close at the crash instant.
-        Ok(CrashReport {
-            kind,
-            at,
-            drain_complete_at: at,
-            secsync_complete_at: at,
-            work,
-            lost_blocks,
-        })
-    }
-
-    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        let report = EadrSystem::recover_with(self, lost);
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::RecoveryMarker {
-                consistent: report.is_consistent(),
-                blocks: report.blocks_checked,
-                cycle: self.now().raw(),
-            });
-        }
-        report
-    }
-
-    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        EadrSystem::resync_lost_golden(self, lost);
-    }
-
-    fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        EadrSystem::expected_plaintext(self, block)
-    }
-
-    fn nvm_store(&self) -> &NvmStore {
-        EadrSystem::nvm_store(self)
-    }
-
-    fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        EadrSystem::nvm_store_mut(self)
-    }
-}
-
-impl PersistSystem for MultiCoreSystem {
-    fn scheme(&self) -> Scheme {
-        MultiCoreSystem::scheme(self)
-    }
-
-    fn secure(&self) -> bool {
-        // Only SecPB schemes construct (bufferless `SP` is rejected, and
-        // `bbb` still runs the full tuple pipeline in this front).
-        true
-    }
-
-    fn config(&self) -> &SystemConfig {
-        MultiCoreSystem::config(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        MultiCoreSystem::stats(self)
-    }
-
-    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        MultiCoreSystem::set_telemetry(self, sink);
-    }
-
-    fn telemetry(&self) -> Option<&TelemetrySink> {
-        MultiCoreSystem::telemetry(self)
-    }
-
-    fn step(&mut self, item: TraceItem) {
-        MultiCoreSystem::step(self, item);
-    }
-
-    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
-        MultiCoreSystem::run_trace(self, items.iter().copied())
-    }
-
-    fn finish_time(&self) -> Cycle {
-        (0..self.cores())
-            .map(|c| self.core_time(c))
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
-
-    fn occupancy(&self) -> u64 {
-        MultiCoreSystem::occupancy(self) as u64
-    }
-
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        MultiCoreSystem::memo_stats(self)
-    }
-
-    fn crash_with_budget(
-        &mut self,
-        kind: CrashKind,
-        _policy: DrainPolicy,
-        max_drain_entries: Option<u64>,
-    ) -> Result<CrashReport, RecoveryError> {
-        let at = PersistSystem::finish_time(self);
-        let footprint = MultiCoreSystem::scheme(self).entry_footprint_bytes();
-        let (drained, lost_blocks) = MultiCoreSystem::crash_with_budget(self, max_drain_entries)?;
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::CrashMarker {
-                power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
-                cycle: at.raw(),
-            });
-            sink.emit(&TelemetryEvent::DrainMarker {
-                entries: drained,
-                cycle: at.raw(),
-            });
-        }
-        // The event-cost model tracks entry movement, not the per-phase
-        // crypto deltas; only the movement fields are populated.
-        let work = DrainWork {
-            entries: drained,
-            bytes_pb_to_mc: drained * footprint,
-            ..DrainWork::default()
-        };
-        Ok(CrashReport {
-            kind,
-            at,
-            drain_complete_at: at,
-            secsync_complete_at: at,
-            work,
-            lost_blocks,
-        })
-    }
-
-    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        let report = MultiCoreSystem::recover_with(self, lost);
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::RecoveryMarker {
-                consistent: report.is_consistent(),
-                blocks: report.blocks_checked,
-                cycle: PersistSystem::finish_time(self).raw(),
-            });
-        }
-        report
-    }
-
-    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        MultiCoreSystem::resync_lost_golden(self, lost);
-    }
-
-    fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        MultiCoreSystem::expected_plaintext(self, block)
-    }
-
-    fn nvm_store(&self) -> &NvmStore {
-        MultiCoreSystem::nvm_store(self)
-    }
-
-    fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        MultiCoreSystem::nvm_store_mut(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eadr::EadrSystem;
+    use crate::multicore::MultiCoreSystem;
     use secpb_sim::addr::Address;
     use secpb_sim::trace::Access;
 

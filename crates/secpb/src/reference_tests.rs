@@ -241,9 +241,11 @@ fn eadr_system_agrees() {
         let trace: Vec<_> = (0..800u64)
             .map(|i| TraceItem::then(7, Access::store(Address(0x20_0000 + (i % 300) * 64), i)))
             .collect();
-        sys.run_trace(trace);
-        let work = sys.crash();
-        (work, sys)
+        sys.run_trace(&trace);
+        let report = sys
+            .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap();
+        (report, sys)
     };
     let (pw, psys) = run(false);
     let (rw, rsys) = run(true);
@@ -271,8 +273,10 @@ fn multicore_system_agrees() {
         for i in 0..50u64 {
             sys.load(3, Address(0x30_0000 + i * 64).block());
         }
-        let drained = sys.crash().unwrap();
-        (drained, sys)
+        let report = sys
+            .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap();
+        (report, sys)
     };
     let (pd, psys) = run(false);
     let (rd, rsys) = run(true);

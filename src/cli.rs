@@ -42,15 +42,14 @@ use secpb_bench::args::RunnerArgs;
 use secpb_bench::grid::{run_grid_bench, GridConfig};
 use secpb_bench::report::Rendered;
 use secpb_bench::reproduce;
+use secpb_bench::scenario::{build_front, run_crash, StormFront};
 use secpb_bench::serve_bench::{run_serve_bench, ServeBenchConfig};
-use secpb_bench::storm::{build_front, run_storm_gate, StormConfig, StormFront};
-use secpb_bench::watch::{run_watch, WatchConfig};
-use secpb_core::crash::{CrashKind, DrainPolicy};
+use secpb_bench::storm::{run_storm_gate, StormConfig};
+use secpb_bench::watch::{run_watch_gate, WatchConfig};
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::pool;
-use secpb_sim::telemetry::ChromeTraceStream;
 use secpb_sim::trace::TraceSummary;
 use secpb_workloads::trace_io;
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
@@ -181,21 +180,13 @@ fn parse_scheme(name: &str) -> Result<Scheme, String> {
 /// Extracts `--front <name>` from the argument list (defaulting to the
 /// single-core SecPB front), returning the front and remaining args.
 fn take_front(args: &[String]) -> Result<(StormFront, Vec<String>), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut front = StormFront::SecPb;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--front" {
-            i += 1;
-            front = args
-                .get(i)
-                .ok_or("--front takes secpb, eadr, mc<N>, triad<N>, or fastrec")?
-                .parse()?;
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
+    let mut rest = args.to_vec();
+    let front = take_value_flag(
+        &mut rest,
+        "--front",
+        "secpb, eadr, mc<N>, triad<N>, or fastrec",
+    )?
+    .map_or(Ok(StormFront::SecPb), |name| name.parse())?;
     Ok((front, rest))
 }
 
@@ -203,16 +194,8 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
     let (front, args) = take_front(args)?;
     let bench = args.first().ok_or(USAGE)?;
     let scheme = parse_scheme(args.get(1).ok_or(USAGE)?)?;
-    let entries: usize = args
-        .get(2)
-        .map(|s| s.parse().map_err(|_| USAGE))
-        .transpose()?
-        .unwrap_or(32);
-    let instructions: u64 = args
-        .get(3)
-        .map(|s| s.parse().map_err(|_| USAGE))
-        .transpose()?
-        .unwrap_or(200_000);
+    let entries: usize = positional(&args, 2)?.unwrap_or(32);
+    let instructions: u64 = positional(&args, 3)?.unwrap_or(200_000);
     let profile = parse_profile(bench)?;
     let cfg = SystemConfig::default().with_secpb_entries(entries);
     let trace = TraceGenerator::new(profile, 42).generate(instructions);
@@ -246,39 +229,42 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+/// Removes a `--flag <value>` pair from `args`, returning the value;
+/// `what` names the value in the error when it is missing.
+fn take_value_flag(
+    args: &mut Vec<String>,
+    flag: &str,
+    what: &str,
+) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("{flag} takes {what}"));
+    }
+    Ok(args.drain(i..=i + 1).nth(1))
+}
+
 /// Parses a `--flag <number>` pair out of `args`, removing both tokens.
 fn take_numeric_flag<T: std::str::FromStr>(
     args: &mut Vec<String>,
     flag: &str,
 ) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err(format!("{flag} takes a number"));
-            }
-            let value = args[i + 1]
-                .parse::<T>()
-                .map_err(|_| format!("{flag} takes a number"))?;
-            args.drain(i..=i + 1);
-            Ok(Some(value))
-        }
-        None => Ok(None),
-    }
+    take_value_flag(args, flag, "a number")?
+        .map(|v| v.parse().map_err(|_| format!("{flag} takes a number")))
+        .transpose()
 }
 
 /// Parses a `--flag <path>` pair out of `args`, removing both tokens.
 fn take_path_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err(format!("{flag} takes a file path"));
-            }
-            let value = args[i + 1].clone();
-            args.drain(i..=i + 1);
-            Ok(Some(value))
-        }
-        None => Ok(None),
-    }
+    take_value_flag(args, flag, "a file path")
+}
+
+/// The optional numeric positional argument at `index`.
+fn positional<T: std::str::FromStr>(args: &[String], index: usize) -> Result<Option<T>, String> {
+    args.get(index)
+        .map(|s| s.parse().map_err(|_| USAGE.to_owned()))
+        .transpose()
 }
 
 fn cmd_watch(args: Vec<String>) -> Result<String, String> {
@@ -290,118 +276,31 @@ fn cmd_watch(args: Vec<String>) -> Result<String, String> {
     let trace_path = take_path_flag(&mut args, "--trace-out")?;
     let bench = args.first().ok_or(USAGE)?;
     let scheme = parse_scheme(args.get(1).ok_or(USAGE)?)?;
-    let instructions: Option<u64> = args
-        .get(2)
-        .map(|s| s.parse().map_err(|_| USAGE))
-        .transpose()?;
+    let instructions: Option<u64> = positional(&args, 2)?;
+    if crash_every == Some(0) {
+        return Err(usage("--crash-every takes a positive store count"));
+    }
 
     let mut cfg = WatchConfig::new(front, scheme, parse_profile(bench)?);
     if quick {
         cfg = cfg.quick();
     }
-    if let Some(n) = instructions {
-        cfg.instructions = n;
-    }
-    if let Some(n) = interval {
-        cfg.interval = n;
-    }
-    if let Some(n) = crash_every {
-        cfg.crash_every = Some(n);
-    }
-
-    let mut jsonl: Vec<u8> = Vec::new();
-    let mut trace_stream = match &trace_path {
-        Some(path) => {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(
-                ChromeTraceStream::new(std::io::BufWriter::new(file), "secpb watch", 0)
-                    .map_err(|e| format!("{path}: {e}"))?,
-            )
-        }
-        None => None,
-    };
-    let outcome = run_watch(&cfg, Some(&mut jsonl), trace_stream.as_mut())?;
-    if let Some(stream) = trace_stream.as_mut() {
-        stream.finish(outcome.dropped).map_err(|e| e.to_string())?;
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "watch bench={bench} front={} scheme={scheme} instructions={} interval={}",
-        front.name(),
-        cfg.instructions,
-        cfg.interval
-    );
-    match &out_path {
-        Some(path) => {
-            std::fs::write(path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(out, "snapshots    {} -> {path}", outcome.snapshots.len());
-        }
-        None => {
-            out.push_str(&String::from_utf8_lossy(&jsonl));
-            let _ = writeln!(out, "snapshots    {}", outcome.snapshots.len());
-        }
-    }
-    if let Some(path) = &trace_path {
-        let _ = writeln!(out, "chrome trace {path}");
-    }
-    let _ = writeln!(out, "events       {}", outcome.events);
-    let _ = writeln!(out, "dropped      {}", outcome.dropped);
-    let _ = writeln!(out, "crashes      {}", outcome.crashes);
-    let _ = writeln!(out, "cycles       {}", outcome.cycles);
-    let _ = writeln!(out, "anomalies    {}", outcome.anomalies);
-    let _ = writeln!(out, "consistent   {}", outcome.consistent);
-    if outcome.snapshots.is_empty() {
-        return Err(format!("watch streamed no snapshots:\n{out}"));
-    }
-    if outcome.anomalies > 0 {
-        return Err(format!("watch observed model-invariant anomalies:\n{out}"));
-    }
-    if !outcome.consistent {
-        return Err(format!("watch recovery sweep was inconsistent:\n{out}"));
-    }
-    Ok(out)
+    cfg.instructions = instructions.unwrap_or(cfg.instructions);
+    cfg.interval = interval.unwrap_or(cfg.interval);
+    cfg.crash_every = crash_every.or(cfg.crash_every);
+    let run = run_watch_gate(&cfg, bench, out_path.as_deref(), trace_path.as_deref())?;
+    finish(run, None)
 }
 
 fn cmd_crash(args: &[String]) -> Result<String, String> {
     let (front, args) = take_front(args)?;
     let bench = args.first().ok_or(USAGE)?;
     let scheme = parse_scheme(args.get(1).ok_or(USAGE)?)?;
-    let instructions: u64 = args
-        .get(2)
-        .map(|s| s.parse().map_err(|_| USAGE))
-        .transpose()?
-        .unwrap_or(100_000);
-    let profile = parse_profile(bench)?;
-    let trace = TraceGenerator::new(profile, 42).generate(instructions);
-    let mut sys = build_front(front, SystemConfig::default(), scheme, 42)?;
-    sys.run_trace(&trace);
-    let report = sys
-        .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
-        .map_err(|e| format!("crash drain failed: {e}"))?;
-    let recovery = sys.recover();
-    let mut out = String::new();
-    let _ = writeln!(out, "crash at cycle {}", report.at.raw());
-    let _ = writeln!(out, "entries drained      {}", report.work.entries);
-    let _ = writeln!(
-        out,
-        "sec-sync complete    cycle {}",
-        report.secsync_complete_at.raw()
-    );
-    let _ = writeln!(out, "macs on battery      {}", report.work.macs);
-    let _ = writeln!(out, "bmt hashes on battery {}", report.work.bmt_node_hashes);
-    let _ = writeln!(out, "blocks recovered     {}", recovery.blocks_checked);
-    let _ = writeln!(
-        out,
-        "estimated recovery   {} cycles",
-        sys.recovery_cost().cycles
-    );
-    let _ = writeln!(out, "consistent           {}", recovery.is_consistent());
-    if !recovery.is_consistent() {
-        return Err(format!("recovery failed:\n{out}"));
-    }
-    Ok(out)
+    let instructions: u64 = positional(&args, 2)?.unwrap_or(100_000);
+    finish(
+        run_crash(front, scheme, parse_profile(bench)?, instructions)?,
+        None,
+    )
 }
 
 fn cmd_reproduce(args: &[String]) -> Result<String, String> {
@@ -497,11 +396,7 @@ fn cmd_trace(args: &[String]) -> Result<String, String> {
         Some("gen") => {
             let bench = args.get(1).ok_or(USAGE)?;
             let path = args.get(2).ok_or(USAGE)?;
-            let instructions: u64 = args
-                .get(3)
-                .map(|s| s.parse().map_err(|_| USAGE))
-                .transpose()?
-                .unwrap_or(100_000);
+            let instructions: u64 = positional(args, 3)?.unwrap_or(100_000);
             let profile = parse_profile(bench)?;
             let trace = TraceGenerator::new(profile, 42).generate(instructions);
             let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
@@ -572,7 +467,7 @@ fn take_tenant_flags(args: &mut Vec<String>) -> Result<TenantFlags, String> {
 }
 
 fn cmd_serve(mut args: Vec<String>) -> Result<String, String> {
-    use secpb_bench::serve::{run_serve, ServeConfig, TenantSpec};
+    use secpb_bench::serve::{run_serve_gate, ServeConfig, TenantSpec};
 
     let quick = take_flag(&mut args, "--quick");
     let shards = take_numeric_flag::<usize>(&mut args, "--shards")?;
@@ -614,93 +509,7 @@ fn cmd_serve(mut args: Vec<String>) -> Result<String, String> {
         cfg.tenants.push(TenantSpec::from_file(name, path));
     }
 
-    let out = run_serve(&cfg).map_err(|e| e.to_string())?;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "serve shards={} workers={} tenants={} epoch={} scheme={} seed={:#x}",
-        cfg.shards,
-        cfg.workers,
-        cfg.tenants.len(),
-        cfg.epoch_len,
-        cfg.scheme.name(),
-        cfg.seed
-    );
-    for s in out.shards.iter().filter(|s| !s.tenants.is_empty()) {
-        let _ = writeln!(
-            text,
-            "shard {}  tenants=[{}] epochs={} items={} stores={} persists={} \
-             sync_hashes={} snapshots={} digest={}",
-            s.shard,
-            s.tenants.join(","),
-            s.epochs,
-            s.items,
-            s.stores,
-            s.persists,
-            s.sync_hashes,
-            s.snapshots.len(),
-            &s.digest()[..16],
-        );
-    }
-    for t in &out.tenants {
-        let _ = writeln!(
-            text,
-            "tenant {}  shard={} asid={} qos={} quota={} items={} stores={} epochs={}",
-            t.name,
-            t.shard,
-            t.asid,
-            t.qos.name(),
-            t.quota,
-            t.items,
-            t.stores,
-            t.epochs_used
-        );
-    }
-    let _ = writeln!(
-        text,
-        "pool   executed={} stolen={} max_steal_run={} max_queue_depth={} backpressure_waits={} \
-         stall_timeouts={} crash_recoveries={}",
-        out.pool.executed,
-        out.pool.stolen,
-        out.pool.max_steal_run,
-        out.pool.max_queue_depth,
-        out.pool.backpressure_waits,
-        out.pool.stall_timeouts,
-        out.pool.crash_recoveries
-    );
-    let _ = writeln!(
-        text,
-        "resilience      shed={} replayed={} restored={}",
-        out.total_shed(),
-        out.total_replayed(),
-        out.total_restored()
-    );
-    let _ = writeln!(text, "stores drained  {}", out.total_stores());
-    let _ = writeln!(text, "anomalies       {}", out.total_anomalies());
-    let _ = writeln!(text, "qos violations  {}", out.total_qos_violations());
-    let _ = writeln!(text, "consistent      {}", out.consistent());
-
-    if out.total_stores() == 0 {
-        return Err(format!("serve drained zero stores:\n{text}"));
-    }
-    if out.total_anomalies() > 0 {
-        return Err(format!("serve observed model-invariant anomalies:\n{text}"));
-    }
-    if out.total_qos_violations() > 0 {
-        let mut msg = format!(
-            "serve observed {} QoS violation(s):\n",
-            out.total_qos_violations()
-        );
-        for v in out.qos_events() {
-            let _ = writeln!(msg, "  {v}");
-        }
-        msg.push_str(&text);
-        return Err(msg);
-    }
-    if !out.consistent() {
-        return Err(format!("serve recovery sweep was inconsistent:\n{text}"));
-    }
-    Ok(text)
+    finish(run_serve_gate(&cfg).map_err(|e| e.to_string())?, None)
 }
 
 fn cmd_serve_bench(mut args: Vec<String>) -> Result<String, String> {
@@ -725,7 +534,7 @@ fn cmd_serve_bench(mut args: Vec<String>) -> Result<String, String> {
 }
 
 fn cmd_soak(mut args: Vec<String>) -> Result<String, String> {
-    use secpb_bench::soak::{run_soak, SoakConfig};
+    use secpb_bench::soak::{run_soak_gate, SoakConfig};
 
     let quick = take_flag(&mut args, "--quick");
     let seed = take_numeric_flag::<u64>(&mut args, "--seed")?.unwrap_or(0x50AC);
@@ -736,20 +545,12 @@ fn cmd_soak(mut args: Vec<String>) -> Result<String, String> {
     } else {
         SoakConfig::full(seed)
     };
-    let out = run_soak(&cfg).map_err(|e| e.to_string())?;
-    let text = format!(
-        "soak {} seed={seed:#x}\n{}",
-        if quick { "--quick" } else { "full" },
-        out.render_text()
-    );
-    if !out.converged() {
-        return Err(format!("soak did not converge:\n{text}"));
-    }
-    Ok(text)
+    let mode = if quick { "--quick" } else { "full" };
+    finish(run_soak_gate(&cfg, mode).map_err(|e| e.to_string())?, None)
 }
 
 fn cmd_recover_sweep(mut args: Vec<String>) -> Result<String, String> {
-    use secpb_bench::recovery_sweep::{run_sweep, SweepConfig};
+    use secpb_bench::recovery_sweep::{run_sweep_gate, SweepConfig};
 
     let quick = take_flag(&mut args, "--quick");
     let instructions = take_numeric_flag::<u64>(&mut args, "--instructions")?;
@@ -757,24 +558,16 @@ fn cmd_recover_sweep(mut args: Vec<String>) -> Result<String, String> {
     let json_path = take_path_flag(&mut args, "--json")?;
     reject_strays(&args, "recover-sweep")?;
 
+    if instructions == Some(0) {
+        return Err(usage("--instructions takes a positive instruction count"));
+    }
     let mut cfg = if quick {
         SweepConfig::quick(seed)
     } else {
         SweepConfig::new(seed)
     };
-    if let Some(n) = instructions {
-        cfg.instructions = n;
-    }
-    let report = run_sweep(&cfg);
-    if let Some(path) = json_path {
-        write_file(&path, &report.to_json().to_pretty())?;
-    }
-    let text = report.render_text();
-    if report.passed() {
-        Ok(text)
-    } else {
-        Err(format!("recovery sweep failed:\n{text}"))
-    }
+    cfg.instructions = instructions.unwrap_or(cfg.instructions);
+    finish(run_sweep_gate(&cfg), json_path.as_deref())
 }
 
 fn cmd_schemes() -> String {
@@ -1003,6 +796,16 @@ mod tests {
         assert!(run(&["watch", "gamess", "cobcm", "--out"])
             .unwrap_err()
             .contains("--out takes a file path"));
+    }
+
+    #[test]
+    fn zero_value_inputs_are_rejected_before_running() {
+        let err = run(&["watch", "gamess", "cobcm", "--crash-every", "0"]).unwrap_err();
+        assert!(err.contains("--crash-every takes a positive"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+        let err = run(&["recover-sweep", "--instructions", "0"]).unwrap_err();
+        assert!(err.contains("--instructions takes a positive"), "{err}");
+        assert!(!err.contains("ORDERING VIOLATION"), "{err}");
     }
 
     #[test]

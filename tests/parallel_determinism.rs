@@ -66,7 +66,12 @@ fn telemetered_cells_match_the_parallel_grid_cell_for_cell() {
             cell.profile.name,
             cell.scheme.name()
         );
-        assert!(check.ok(), "{}: {:?}", cell.profile.name, check.failure);
+        assert!(
+            check.passed(),
+            "{}: {:?}",
+            cell.profile.name,
+            check.failure()
+        );
         assert!(digest.events > 0, "the ring must have carried events");
         // The merged stats registries render byte-identically: the sink
         // never leaks into values, ordering, or the JSON export.

@@ -10,11 +10,13 @@
 //!    exactly the field set of the checked-in golden snapshot, and the
 //!    wire form round-trips exactly through the in-repo JSON parser.
 
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
+use secpb::sim::config::SystemConfig;
 use secpb::sim::json::Json;
 use secpb::sim::telemetry::HealthSnapshot;
 use secpb_bench::experiments::GridCell;
-use secpb_bench::storm::StormFront;
+use secpb_bench::scenario::{build_front, Outcome, StormFront};
 use secpb_bench::watch::{run_watch, WatchConfig};
 use secpb_workloads::WorkloadProfile;
 
@@ -27,20 +29,31 @@ fn quick_cfg() -> WatchConfig {
     .quick()
 }
 
+/// A quick watch on a fresh single-core front, returning the front too
+/// so tests can read its telemetry ring.
+fn quick_watch() -> (Outcome, Vec<HealthSnapshot>, Box<dyn PersistSystem + Send>) {
+    let cfg = quick_cfg();
+    let mut sys = build_front(cfg.front, SystemConfig::default(), cfg.scheme, cfg.seed).unwrap();
+    let (outcome, snapshots) =
+        run_watch::<Vec<u8>, Vec<u8>>(&cfg, sys.as_mut(), None, None).expect("quick watch runs");
+    (outcome, snapshots, sys)
+}
+
 #[test]
 fn watch_streams_snapshots_with_zero_anomalies_and_accounted_drops() {
-    let outcome = run_watch::<Vec<u8>, Vec<u8>>(&quick_cfg(), None, None).unwrap();
-    assert!(!outcome.snapshots.is_empty(), "must stream >= 1 snapshot");
+    let (outcome, snapshots, sys) = quick_watch();
+    assert!(!snapshots.is_empty(), "must stream >= 1 snapshot");
     assert_eq!(outcome.anomalies, 0);
-    assert!(outcome.consistent);
+    assert!(outcome.passed(), "{:?}", outcome.failure());
     assert!(outcome.crashes > 0, "quick watch is storm-style");
     // Losslessness accounting: the final snapshot's drop counter equals
     // the ring's, and `lossy` mirrors it — drops are visible, not silent.
-    let last = outcome.snapshots.last().unwrap();
-    assert_eq!(last.dropped, outcome.dropped);
-    assert_eq!(last.lossy, outcome.dropped > 0);
+    let ring_dropped = sys.telemetry().expect("watch attaches a ring").dropped();
+    let last = snapshots.last().unwrap();
+    assert_eq!(last.dropped, ring_dropped);
+    assert_eq!(last.lossy, ring_dropped > 0);
     // Snapshot sequence numbers are dense from 1.
-    for (i, snap) in outcome.snapshots.iter().enumerate() {
+    for (i, snap) in snapshots.iter().enumerate() {
         assert_eq!(snap.seq, i as u64 + 1);
     }
 }
@@ -64,8 +77,8 @@ fn telemetry_ring_does_not_steer_a_grid_cell() {
 
 #[test]
 fn health_snapshot_wire_form_round_trips_exactly() {
-    let outcome = run_watch::<Vec<u8>, Vec<u8>>(&quick_cfg(), None, None).unwrap();
-    for snap in &outcome.snapshots {
+    let (_, snapshots, _) = quick_watch();
+    for snap in &snapshots {
         let wire = snap.to_json().to_string();
         let parsed = Json::parse(&wire).expect("wire form parses");
         let back = HealthSnapshot::from_json(&parsed).expect("wire form decodes");
@@ -109,8 +122,8 @@ fn health_snapshot_schema_matches_the_checked_in_golden() {
     // The current reader must still accept the golden wire form.
     HealthSnapshot::from_json(&golden).expect("golden decodes with the current schema");
 
-    let outcome = run_watch::<Vec<u8>, Vec<u8>>(&quick_cfg(), None, None).unwrap();
-    let live = outcome.snapshots.last().unwrap().to_json();
+    let (_, snapshots, _) = quick_watch();
+    let live = snapshots.last().unwrap().to_json();
 
     let mut golden_fields = Vec::new();
     field_paths(&golden, "", &mut golden_fields);
